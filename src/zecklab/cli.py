@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
-3 scan exhausted under --expect-find, 4 internal inconsistency (oracle
-mismatch or counterexample verification failure).
+Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text or
+a malformed option, 3 scan exhausted under --expect-find, 4 internal
+inconsistency (oracle mismatch or counterexample verification failure).
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import csv
 import json
 import sys
 
-from .enumerator import (
-    bijection_count,
-    count_legal,
-    enumerate_legal,
-    first_nonunique,
-    grammar_budget,
-    naive_oracle,
-)
+from .enumerator import enumerate_legal, first_nonunique, grammar_budget, naive_oracle
 from .errors import (
     BudgetExceededError,
     ConstructionFailedError,
@@ -30,7 +23,7 @@ from .errors import (
 )
 from .greedy import greedy_decompose
 from .legality import evaluate, is_legal, parse_decomposition
-from .recurrence import classify, parse_recurrence
+from .recurrence import parse_recurrence
 from .sequence import SequenceHandle
 from .uniqueness import (
     CSV_HEADER,
@@ -47,6 +40,13 @@ EXIT_BAD_RECURRENCE = 1
 EXIT_BAD_DECOMP = 2
 EXIT_NOT_FOUND = 3
 EXIT_INCONSISTENT = 4
+
+
+def _natural(text: str) -> int:
+    """argparse type: a non-negative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _handle_for(args) -> SequenceHandle:
@@ -80,7 +80,7 @@ def _cmd_seq(args) -> int:
 
 def _cmd_decompose(args) -> int:
     handle = _handle_for(args)
-    n = int(args.n)
+    n = args.n
     decomp, trace = greedy_decompose(handle, n, trace=True)
     verdict = is_legal(decomp, handle)
     if args.json:
@@ -154,7 +154,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     handle = _handle_for(args)
-    n = int(args.n)
+    n = args.n
     grammar = sorted(enumerate_legal(handle, n, args.budget), key=str)
     result = grammar
     if args.oracle:
@@ -299,16 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rec", required=True, help="coefficients c1,c2,...,cL")
         p.add_argument("--json", action="store_true")
         if budget:
-            p.add_argument("--budget", type=int, default=grammar_budget())
+            p.add_argument("--budget", type=_natural)
 
     p = sub.add_parser("seq", help="print sequence terms")
     common(p, budget=False)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_natural, required=True)
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("decompose", help="greedy decomposition of N")
     common(p, budget=False)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_decompose)
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all legal decompositions of N")
     common(p)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the brute-force oracle")
     p.set_defaults(func=_cmd_enumerate)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "s=1..2,span=2..3,c=0..3"')
     p.add_argument("--max", type=int, default=5000)
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--budget", type=int, default=grammar_budget())
+    p.add_argument("--budget", type=_natural)
     p.set_defaults(func=_cmd_probe)
 
     return parser
@@ -353,6 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        grammar_budget()  # --budget unset falls back to ZECKLAB_BUDGET
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except RecurrenceError as exc:

@@ -13,6 +13,7 @@ They must agree wherever the oracle is allowed to run; tests enforce that.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 from .legality import Decomposition, canonicalize, word_is_legal
@@ -26,10 +27,10 @@ _STATE_LIMIT = 2_000_000  # memo entries across one generator, guards blowup
 
 def grammar_budget() -> int:
     """Default enumeration budget; ZECKLAB_BUDGET overrides it."""
-    raw = os.environ.get("ZECKLAB_BUDGET")
-    if raw and raw.isdigit():
-        return int(raw)
-    return DEFAULT_GRAMMAR_BUDGET
+    raw = os.environ.get("ZECKLAB_BUDGET") or str(DEFAULT_GRAMMAR_BUDGET)
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 class _WordGenerator:
@@ -165,20 +166,14 @@ def naive_oracle(
     return out
 
 
-def decompositions_up_to(
-    handle: SequenceHandle, bound: int, budget: int | None = None
-) -> dict[int, list[Decomposition]]:
-    """All legal decompositions for every value 1..bound, in one grammar sweep.
-
-    Words are generated per length with a running value cap; a word counts
-    only at its value's window alignment, which keeps each decomposition
-    exactly once.
+def _windows(handle: SequenceHandle, bound: int):
+    """Yield (m, words) for m = 1, 2, ...: a lazy view of the legal length-m
+    words (word, value) with value <= bound in window m.  Words are built per
+    length with a running value cap; counting a word only at its value's
+    window alignment keeps each decomposition exactly once.
     """
     if bound < 1:
-        return {}
-    limit = budget if budget is not None else grammar_budget()
-    if bound > limit:
-        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {limit}")
+        return
     top = handle.top_index(bound)
     spec = handle.spec
     c, s, L = spec.coefficients, spec.depth, spec.order
@@ -213,29 +208,43 @@ def decompositions_up_to(
                         if used + tv <= bound:
                             out.add((pad + tail, used + tv))
         by_len.append(out)
+        lo, hi = handle.window(m)
+        yield m, ((word, val) for word, val in out if lo <= val < hi)
+
+
+def decompositions_up_to(
+    handle: SequenceHandle, bound: int, budget: int | None = None
+) -> dict[int, list[Decomposition]]:
+    """All legal decompositions for every value 1..bound, in one grammar sweep."""
+    limit = budget if budget is not None else grammar_budget()
+    if bound > limit:
+        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {limit}")
     buckets: dict[int, list[Decomposition]] = {}
-    for m in range(1, top + 1):
-        for word, val in by_len[m]:
-            if val >= 1 and handle.top_index(val) == m:
-                buckets.setdefault(val, []).append(canonicalize(word, m))
+    for m, words in _windows(handle, bound):
+        for word, val in words:
+            buckets.setdefault(val, []).append(canonicalize(word, m))
     return buckets
 
 
 def first_nonunique(
     handle: SequenceHandle, bound: int, budget: int | None = None
 ) -> tuple[int, int] | None:
-    """Smallest 1 <= N <= bound with at least two legal decompositions."""
+    """(N, count) for the smallest 1 <= N <= bound with two or more legal
+    decompositions, or None.  One sweep searches 1..min(bound, budget) and
+    returns at the first window holding a hit; smaller values lie in earlier
+    windows.  Raises BudgetExceededError only on no hit with bound > budget.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    probe = min(bound, 256)
-    while True:
-        buckets = decompositions_up_to(handle, probe, budget)
-        for value in sorted(buckets):
-            if len(buckets[value]) >= 2:
-                return value, len(buckets[value])
-        if probe >= bound:
-            return None
-        probe = min(bound, probe * 4)
+    limit = budget if budget is not None else grammar_budget()
+    for _, words in _windows(handle, min(bound, limit)):
+        counts = Counter(val for _, val in words)
+        hit = min((val for val, k in counts.items() if k >= 2), default=None)
+        if hit is not None:
+            return hit, counts[hit]
+    if bound > limit:
+        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {limit}")
+    return None
 
 
 def bijection_count(handle: SequenceHandle, n: int) -> tuple[int, int]:

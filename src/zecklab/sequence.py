@@ -10,6 +10,8 @@ read-only across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import NonProgressError
 from .recurrence import Kind, RecurrenceSpec, parse_recurrence
 
@@ -51,6 +53,12 @@ class SequenceHandle:
         self._cumsum = [0]
         for g in self._terms:
             self._cumsum.append(self._cumsum[-1] + g)
+        # window floors: _floors[m - 1] = min(G_m, G_{m+1}, ...), so the values
+        # whose top index is m are exactly _floors[m - 1] <= v < _floors[m].  Each
+        # term past the prefix is at least one of the ``order`` terms before it,
+        # so the minimum is fixed once the cache holds G_{m+order-1}.
+        L = spec.order
+        self._floors = [min(self._terms[m:]) for m in range(len(self._terms) - L + 1)]
 
     @classmethod
     def from_text(cls, text: str) -> "SequenceHandle":
@@ -76,6 +84,7 @@ class SequenceHandle:
             self._duplicate_values = True
         self._index_of_value[nxt] = k + 1
         self._cumsum.append(self._cumsum[-1] + nxt)
+        self._floors.append(min(self._terms[-L:]))
 
     def term(self, n: int) -> int:
         """G_n, computing and caching any missing terms."""
@@ -101,10 +110,7 @@ class SequenceHandle:
         if bound >= 1 and self.spec.coefficients == (1,):
             # constant sequence 1, 1, 1, ...: the condition can never be met
             raise NonProgressError("sequence is constant; it never exceeds 1")
-        L = self.spec.order
-        while len(self._terms) < max(L, self._prefix_len):
-            self._grow()
-        while not all(g > bound for g in self._terms[-L:]):
+        while self._floors[-1] <= bound:  # the minimum of the last ``order`` terms
             self._grow()
         return len(self._terms)
 
@@ -113,10 +119,15 @@ class SequenceHandle:
         if n_value < 1:
             raise ValueError("value must be >= 1")
         self.extend_until_exceeds(n_value)
-        for i in range(len(self._terms), 0, -1):
-            if self._terms[i - 1] <= n_value:
-                return i
-        raise AssertionError("unreachable: G_1 = 1")
+        return bisect_right(self._floors, n_value)
+
+    def window(self, m: int) -> tuple[int, int]:
+        """(lo, hi): the values whose top index is m are exactly lo <= v < hi."""
+        if m < 1:
+            raise ValueError("window index must be >= 1")
+        while len(self._floors) <= m:
+            self._grow()
+        return self._floors[m - 1], self._floors[m]
 
     def index_of_value(self, value: int) -> int | None:
         """Largest n with G_n == value, or None when value is not a term."""

@@ -12,7 +12,7 @@ decompositions and reports exactly what holds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
@@ -22,8 +22,8 @@ from .errors import (
 )
 from .greedy import greedy_decompose
 from .legality import Decomposition, evaluate, is_legal
-from .recurrence import RecurrenceSpec, classify, parse_recurrence
-from .enumerator import decompositions_up_to, enumerate_legal, first_nonunique
+from .recurrence import classify, parse_recurrence
+from .enumerator import enumerate_legal, first_nonunique
 from .sequence import SequenceHandle
 
 

@@ -162,3 +162,27 @@ def test_budget_env_override(monkeypatch, capsys):
     code, _, err = run(capsys, "enumerate", "--rec", "0,2,2", "--n", "50")
     assert code == 4
     assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (["decompose", "--rec", "0,2,2", "--n", "abc"], "--n", "abc"),
+    (["decompose", "--rec", "0,2,2", "--n", "-5"], "--n", "-5"),
+    (["seq", "--rec", "0,2,2", "--count", "-1"], "--count", "-1"),
+])
+def test_malformed_option_exits_2(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {option}: not a non-negative integer: {value!r}")
+
+
+def test_malformed_budget_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ZECKLAB_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--rec", "0,2,2", "--n", "50"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: ZECKLAB_BUDGET must be a non-negative integer, got 'abc'")

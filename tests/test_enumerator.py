@@ -7,6 +7,7 @@ from zecklab import (
     count_legal,
     decompositions_up_to,
     enumerate_legal,
+    expand_grid,
     first_nonunique,
     greedy_decompose,
     naive_oracle,
@@ -57,7 +58,8 @@ def test_oracle_equivalence_small(text, handles):
         assert enumerate_legal(h, n) == naive_oracle(h, n), (text, n)
 
 
-@pytest.mark.parametrize("text", ORACLE_POOL)
+# 0,1,2,1 has a legal length-3 word worth G_4 = 4, which must not count at m = 3
+@pytest.mark.parametrize("text", ORACLE_POOL + ["2", "0,1,2,1"])
 def test_sweep_matches_point_enumeration(text, handles):
     h = handles(text)
     buckets = decompositions_up_to(h, 120)
@@ -84,6 +86,35 @@ def test_first_nonunique_none_for_fibonacci(handles):
 
 def test_first_nonunique_respects_bound(handles):
     assert first_nonunique(handles("0,1,1"), 6) is None
+
+
+def test_first_nonunique_returns_a_hit_within_the_budget(handles):
+    # the bound lies past the budget, but N = 7 lies inside it
+    assert first_nonunique(handles("0,1,1"), 5000, budget=100) == (7, 2)
+
+
+def test_first_nonunique_raises_only_without_a_hit_within_the_budget(handles):
+    with pytest.raises(BudgetExceededError):
+        first_nonunique(handles("1,1"), 5000, budget=100)
+    with pytest.raises(BudgetExceededError):
+        first_nonunique(handles("0,1,1"), 100, budget=6)
+    assert first_nonunique(handles("0,1,1"), 6, budget=6) is None
+
+
+def test_first_nonunique_matches_point_enumeration_on_the_grid():
+    texts, _ = expand_grid(range(0, 4), range(1, 5), 4)
+    assert len(texts) == 1940
+    for text in texts:
+        if text == "1":
+            continue  # the constant sequence has no top index above 1
+        h = SequenceHandle.from_text(text)
+        expected = None
+        for n in range(1, 501):
+            count = len(enumerate_legal(h, n))
+            if count >= 2:
+                expected = (n, count)
+                break
+        assert first_nonunique(SequenceHandle.from_text(text), 500) == expected, text
 
 
 def test_plrs_counts_are_all_one(handles):
@@ -135,6 +166,15 @@ def test_env_var_budget(monkeypatch, handles):
     assert grammar_budget() == 123
     monkeypatch.delenv("ZECKLAB_BUDGET")
     assert grammar_budget() == 10**6
+
+
+def test_malformed_env_var_budget_is_rejected(monkeypatch):
+    from zecklab.enumerator import grammar_budget
+
+    for raw in ("abc", "-5", "1e6"):
+        monkeypatch.setenv("ZECKLAB_BUDGET", raw)
+        with pytest.raises(ValueError, match="ZECKLAB_BUDGET"):
+            grammar_budget()
 
 
 def test_every_enumerated_decomposition_checks_out(handles):

@@ -75,6 +75,20 @@ def test_top_index_example(handles):
     assert handles("0,2,2").top_index(164) == 9
 
 
+@pytest.mark.parametrize("text", ["0,1,1", "0,0,1,4", "2", "1,1", "0,0,0,1,1"])
+def test_top_index_is_the_last_term_not_above_the_value(text):
+    # 0,1,1 starts 1,2,4,3 and 0,0,0,1,1 repeats 3 at indices 3 and 6;
+    # ties must resolve to the later index
+    h = SequenceHandle.from_text(text)
+    h.extend_until_exceeds(3000)
+    terms = h.terms(len(h))
+    for v in range(1, 3001):
+        top = max(t for t, g in enumerate(terms, 1) if g <= v)
+        assert h.top_index(v) == top, (text, v)
+        lo, hi = h.window(top)
+        assert lo <= v < hi, (text, v)
+
+
 def test_top_index_rejects_zero(handles):
     with pytest.raises(ValueError):
         handles("1,1").top_index(0)
