@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text or
 a malformed option, 3 scan exhausted under --expect-find, 4 internal
-inconsistency (oracle mismatch or counterexample verification failure).
+inconsistency (oracle mismatch or counterexample verification failure),
+5 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -40,12 +41,20 @@ EXIT_BAD_RECURRENCE = 1
 EXIT_BAD_DECOMP = 2
 EXIT_NOT_FOUND = 3
 EXIT_INCONSISTENT = 4
+EXIT_BUDGET = 5
 
 
 def _natural(text: str) -> int:
     """argparse type: a non-negative decimal integer."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    """argparse type: a positive decimal integer."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return int(text)
 
 
@@ -326,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan a range for uniqueness failures")
     common(p)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_positive, required=True)
     p.add_argument("--mode", choices=["nonunique", "unique"], default="nonunique")
     p.add_argument("--expect-find", action="store_true")
     p.set_defaults(func=_cmd_scan)
@@ -342,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="sweep a family grid, write CSV")
     p.add_argument("--grid", default="s=1..2,span=2..3,c=0..3",
                    help='e.g. "s=1..2,span=2..3,c=0..3"')
-    p.add_argument("--max", type=int, default=5000)
+    p.add_argument("--max", type=_positive, default=5000)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--budget", type=_natural)
     p.set_defaults(func=_cmd_probe)
@@ -367,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_DECOMP
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        return EXIT_BUDGET
     except ZecklabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -33,62 +33,72 @@ def grammar_budget() -> int:
     return int(raw)
 
 
+def _heads(handle: SequenceHandle, m: int, cap: int):
+    """The grammar's rules for legal length-m words, as (head, used, longest):
+    every legal length-m word whose head is worth ``used`` <= cap is head +
+    tail for some legal tail of length 0..longest.  The unit word and the
+    short prefix are heads with longest = 0 (only the empty tail).
+
+    Words are sparse ((index, mult), ...) with indices decreasing.  A head
+    uses indices m..m-t+1 and a length-k tail uses k..1 wherever it sits, so
+    head + tail is already canonical.
+    """
+    spec = handle.spec
+    c, s, L = spec.coefficients, spec.depth, spec.order
+    plrs = spec.kind is Kind.PLRR
+    if not plrs and (g_m := handle.term(m)) <= cap:
+        yield ((m, 1),), g_m, 0
+    if (plrs or s < m) and m < L:
+        val = sum(c[i] * handle.term(m - i) for i in range(m))
+        if val <= cap:
+            yield tuple((m - i, c[i]) for i in range(m) if c[i]), val, 0
+    # positions before t_lo carry zero coefficients, so the matched prefix
+    # starts empty and worth nothing
+    t_lo = 1 if plrs else s + 1
+    prefix: tuple[tuple[int, int], ...] = ()
+    prefix_val = 0
+    for t in range(t_lo, min(L, m) + 1):
+        if t > t_lo and c[t - 2]:
+            prefix += ((m + 2 - t, c[t - 2]),)
+            prefix_val += c[t - 2] * handle.term(m + 2 - t)
+        if prefix_val > cap:
+            break
+        g_t = handle.term(m + 1 - t)
+        for a in range(1 if (plrs and t == 1) else 0, c[t - 1]):
+            used = prefix_val + a * g_t
+            if used > cap:
+                break
+            yield (prefix + ((m + 1 - t, a),) if a else prefix), used, m - t
+
+
 class _WordGenerator:
-    """Memoized generation of legal words of exact length and value."""
+    """Memoized generation of legal sparse words of exact length and value."""
 
     def __init__(self, handle: SequenceHandle):
         self.handle = handle
-        spec = handle.spec
-        self.c = spec.coefficients
-        self.s = spec.depth
-        self.L = spec.order
-        self.plrs = spec.kind is Kind.PLRR
         self.memo: dict[tuple[int, int], frozenset] = {}
 
     def words(self, m: int, value: int) -> frozenset:
         """All legal words of length m whose value is exactly ``value``."""
-        if value < 0:
-            return frozenset()
         key = (m, value)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         if len(self.memo) > _STATE_LIMIT:
             raise BudgetExceededError("grammar enumeration state limit reached")
-        h, c, s, L = self.handle, self.c, self.s, self.L
-        out: set[tuple[int, ...]] = set()
+        out: set[tuple[tuple[int, int], ...]] = set()
         if m == 0:
             if value == 0:
                 out.add(())
-            res = frozenset(out)
-            self.memo[key] = res
-            return res
-        if not self.plrs and h.term(m) == value:
-            out.add((1,) + (0,) * (m - 1))
-        if (self.plrs or s < m) and m < L:
-            if sum(c[i] * h.term(m - i) for i in range(m)) == value:
-                out.add(c[:m])
-        t_lo = 1 if self.plrs else s + 1
-        # leading prefix positions all carry zero coefficients, so no value
-        prefix_val = sum(c[i] * h.term(m - i) for i in range(t_lo - 1) if c[i])
-        for t in range(t_lo, min(L, m) + 1):
-            if t > t_lo:
-                prefix_val += c[t - 2] * h.term(m - t + 2)
-            if prefix_val > value:
-                break
-            g_t = h.term(m + 1 - t)
-            a_lo = 1 if (self.plrs and t == 1) else 0
-            for a in range(a_lo, c[t - 1]):
-                used = prefix_val + a * g_t
-                if used > value:
-                    break
+        else:
+            h = self.handle
+            for head, used, longest in _heads(h, m, value):
                 rest = value - used
-                for gap in range(0, m - t + 1):
-                    tail_len = m - t - gap
-                    if rest > h.max_word_value(tail_len):
+                for k in range(longest, -1, -1):
+                    if rest > h.max_word_value(k):
                         break  # shorter tails only get smaller
-                    for tail in self.words(tail_len, rest):
-                        out.add(c[: t - 1] + (a,) + (0,) * gap + tail)
+                    for tail in self.words(k, rest):
+                        out.add(head + tail)
         res = frozenset(out)
         self.memo[key] = res
         return res
@@ -113,9 +123,8 @@ def enumerate_legal(
         raise BudgetExceededError(f"value {n_value} exceeds enumeration budget {limit}")
     if n_value == 0:
         return {Decomposition()}
-    m = handle.top_index(n_value)
-    gen = _generator(handle)
-    return {canonicalize(word, m) for word in gen.words(m, n_value)}
+    words = _generator(handle).words(handle.top_index(n_value), n_value)
+    return {Decomposition(word) for word in words}
 
 
 def count_legal(handle: SequenceHandle, n_value: int, budget: int | None = None) -> int:
@@ -167,49 +176,28 @@ def naive_oracle(
 
 
 def _windows(handle: SequenceHandle, bound: int):
-    """Yield (m, words) for m = 1, 2, ...: a lazy view of the legal length-m
-    words (word, value) with value <= bound in window m.  Words are built per
-    length with a running value cap; counting a word only at its value's
-    window alignment keeps each decomposition exactly once.
+    """Yield, for m = 1, 2, ..., a lazy view of the legal length-m sparse
+    words (word, value) with value <= bound in window m.  Words are
+    built per length with a running value cap; counting a word only at its
+    value's window alignment keeps each decomposition exactly once.
     """
     if bound < 1:
         return
     top = handle.top_index(bound)
-    spec = handle.spec
-    c, s, L = spec.coefficients, spec.depth, spec.order
-    plrs = spec.kind is Kind.PLRR
-    by_len: list[set[tuple[tuple[int, ...], int]]] = [set([((), 0)])]
+    # by_len[k]: every legal length-k word worth <= bound, mapped to its value;
+    # a word derived more than one way is stored once
+    by_len: list[dict[tuple[tuple[int, int], ...], int]] = [{(): 0}]
     for m in range(1, top + 1):
-        out: set[tuple[tuple[int, ...], int]] = set()
-        g_m = handle.term(m)
-        if not plrs and g_m <= bound:
-            out.add(((1,) + (0,) * (m - 1), g_m))
-        if (plrs or s < m) and m < L:
-            val = sum(c[i] * handle.term(m - i) for i in range(m))
-            if val <= bound:
-                out.add((c[:m], val))
-        t_lo = 1 if plrs else s + 1
-        prefix_val = sum(c[i] * handle.term(m - i) for i in range(t_lo - 1) if c[i])
-        for t in range(t_lo, min(L, m) + 1):
-            if t > t_lo:
-                prefix_val += c[t - 2] * handle.term(m - t + 2)
-            if prefix_val > bound:
-                break
-            g_t = handle.term(m + 1 - t)
-            a_lo = 1 if (plrs and t == 1) else 0
-            for a in range(a_lo, c[t - 1]):
-                used = prefix_val + a * g_t
-                if used > bound:
-                    break
-                head = c[: t - 1] + (a,)
-                for gap in range(0, m - t + 1):
-                    pad = head + (0,) * gap
-                    for tail, tv in by_len[m - t - gap]:
-                        if used + tv <= bound:
-                            out.add((pad + tail, used + tv))
+        out: dict[tuple[tuple[int, int], ...], int] = {}
+        for head, used, longest in _heads(handle, m, bound):
+            room = bound - used
+            for k in range(longest + 1):
+                for tail, tv in by_len[k].items():
+                    if tv <= room:
+                        out[head + tail] = used + tv
         by_len.append(out)
         lo, hi = handle.window(m)
-        yield m, ((word, val) for word, val in out if lo <= val < hi)
+        yield ((word, val) for word, val in out.items() if lo <= val < hi)
 
 
 def decompositions_up_to(
@@ -220,9 +208,9 @@ def decompositions_up_to(
     if bound > limit:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {limit}")
     buckets: dict[int, list[Decomposition]] = {}
-    for m, words in _windows(handle, bound):
+    for words in _windows(handle, bound):
         for word, val in words:
-            buckets.setdefault(val, []).append(canonicalize(word, m))
+            buckets.setdefault(val, []).append(Decomposition(word))
     return buckets
 
 
@@ -237,7 +225,7 @@ def first_nonunique(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     limit = budget if budget is not None else grammar_budget()
-    for _, words in _windows(handle, min(bound, limit)):
+    for words in _windows(handle, min(bound, limit)):
         counts = Counter(val for _, val in words)
         hit = min((val for val, k in counts.items() if k >= 2), default=None)
         if hit is not None:

@@ -30,7 +30,7 @@ from .recurrence import Kind, RecurrenceSpec
 from .sequence import SequenceHandle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Canonical sparse decomposition: ((index, multiplicity), ...) sorted by
     strictly decreasing index, multiplicities all >= 1."""

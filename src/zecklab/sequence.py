@@ -4,8 +4,9 @@ Terms are 1-indexed arbitrary-precision integers.  The first ``order`` terms
 come from the initial-condition rules (plus the special 1,2,4,3 prefix for
 the Lagonacci family); later terms follow the recurrence exactly.
 
-The term cache is append-only: extend it up front, then share the handle
-read-only across threads.
+The term cache is append-only and grows on read (``term``, ``window`` and
+``top_index`` extend it), and ``enumerate_legal`` attaches a memo to the
+handle: a handle is not thread-safe, so use one handle per thread.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def test_probe_rows_deterministic_modulo_timing(tmp_path, capsys):
 def test_budget_env_override(monkeypatch, capsys):
     monkeypatch.setenv("ZECKLAB_BUDGET", "5")
     code, _, err = run(capsys, "enumerate", "--rec", "0,2,2", "--n", "50")
-    assert code == 4
+    assert code == 5
     assert "budget exceeded" in err
 
 
@@ -168,6 +168,8 @@ def test_budget_env_override(monkeypatch, capsys):
     (["decompose", "--rec", "0,2,2", "--n", "abc"], "--n", "abc"),
     (["decompose", "--rec", "0,2,2", "--n", "-5"], "--n", "-5"),
     (["seq", "--rec", "0,2,2", "--count", "-1"], "--count", "-1"),
+    (["scan", "--rec", "0,1,1", "--max", "0"], "--max", "0"),
+    (["probe", "--max", "-3"], "--max", "-3"),
 ])
 def test_malformed_option_exits_2(argv, option, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -175,8 +177,9 @@ def test_malformed_option_exits_2(argv, option, value, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    kind = "positive" if option == "--max" else "non-negative"
     assert captured.err.splitlines()[-1].endswith(
-        f"error: argument {option}: not a non-negative integer: {value!r}")
+        f"error: argument {option}: not a {kind} integer: {value!r}")
 
 
 def test_malformed_budget_env_exits_2(monkeypatch, capsys):

@@ -65,8 +65,11 @@ def test_sweep_matches_point_enumeration(text, handles):
     buckets = decompositions_up_to(h, 120)
     for n in range(1, 121):
         expected = enumerate_legal(h, n)
-        got = set(buckets.get(n, []))
-        assert got == expected, (text, n)
+        got = buckets.get(n, [])
+        assert len(got) == len(expected), (text, n)  # no word listed twice
+        assert set(got) == expected, (text, n)
+        for d in (*got, *expected):  # sparse words come out canonical
+            assert d == Decomposition.from_dict(d.to_dict()), (text, n, d)
 
 
 def test_greedy_membership(handles):
