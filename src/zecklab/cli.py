@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text or
-a malformed option, 3 scan exhausted under --expect-find, 4 internal
-inconsistency (oracle mismatch or counterexample verification failure),
-5 enumeration budget exceeded.
+Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
+a malformed option or an unwritable --out path, 3 scan exhausted under
+--expect-find, 4 internal inconsistency (oracle mismatch or counterexample
+verification failure), 5 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -262,27 +262,39 @@ def _cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, kind=_natural) -> list[int]:
+    """"lo..hi" or "a;b;c", each bound parsed by the argparse type ``kind``."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(";")]
+        return list(range(kind(lo.strip()), kind(hi.strip()) + 1))
+    return [kind(p.strip()) for p in text.split(";")]
 
 
-def _cmd_probe(args) -> int:
+def _grid(text: str) -> tuple[list[int], list[int], int]:
+    """argparse type: "s=1..2,span=2..3,c=0..3" as (depths, spans, c_max)."""
     grid: dict[str, str] = {}
-    for part in args.grid.split(","):
+    for part in text.split(","):
         key, _, val = part.partition("=")
         grid[key.strip()] = val.strip()
     depths = _parse_range(grid.get("s", "1..2"))
-    spans = _parse_range(grid.get("span", "2..3"))
-    c_max = int(grid.get("c", "3").split("..")[-1])
-    texts, skipped = expand_grid(depths, spans, c_max)
-    for note in skipped:
-        print(f"skipped invalid grid point: {note}", file=sys.stderr)
-    records = probe_family(texts, args.max, args.budget)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    spans = _parse_range(grid.get("span", "2..3"), _positive)
+    c_max = _natural(grid.get("c", "3").split("..")[-1].strip())
+    return depths, spans, c_max
+
+
+def _cmd_probe(args) -> int:
+    # open the output first: an unusable path fails before the sweep runs
     try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: argument --out: cannot write {args.out!r}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_BAD_DECOMP
+    try:
+        texts, skipped = expand_grid(*args.grid)
+        for note in skipped:
+            print(f"skipped invalid grid point: {note}", file=sys.stderr)
+        records = probe_family(texts, args.max, args.budget)
         writer = csv.writer(out)
         writer.writerow(CSV_HEADER.split(","))
         for rec in records:
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("probe", help="sweep a family grid, write CSV")
-    p.add_argument("--grid", default="s=1..2,span=2..3,c=0..3",
+    p.add_argument("--grid", type=_grid, default="s=1..2,span=2..3,c=0..3",
                    help='e.g. "s=1..2,span=2..3,c=0..3"')
     p.add_argument("--max", type=_positive, default=5000)
     p.add_argument("--out", help="CSV output path (default stdout)")

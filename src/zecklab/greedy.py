@@ -1,11 +1,14 @@
-"""Greedy decomposition: always terminates in a legal decomposition.
+"""Greedy decomposition: one legal decomposition per target, built top down.
 
 For a target N the algorithm anchors at the window top t = max{n: G_n <= N}
 and walks the block positions i = depth+1 .. order over indices j = t+1-i,
 taking full c_i copies while the remainder allows, otherwise taking
 floor(remainder / G_j) < c_i copies and closing the block.  The remainder
-then re-anchors at its own, strictly lower window.  Targets that are term
-values short-circuit to a bare summand at the largest matching index.
+then re-anchors at its own, strictly lower window.  A remainder that is a
+term value short-circuits to a bare summand: after a block, at the largest
+matching index below the block's stop index; for the target itself, at the
+largest matching index, unless that index sits below the window top and the
+grammar rejects the leading zeros.  Otherwise the block step runs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NonProgressError
-from .legality import Decomposition
+from .legality import Decomposition, word_is_legal
 from .sequence import SequenceHandle
 
 
@@ -39,7 +42,8 @@ def greedy_decompose(
     """Decompose ``n_value`` greedily; returns (result, trace) when asked.
 
     Raises NonProgressError if a remainder fails to re-anchor strictly below
-    the position where its block closed (never expected for valid specs).
+    the position where its block closed.  That is known to happen on the
+    constant family ``1`` and on some values of ``0,0,0,1,0,0,1``.
     """
     if n_value < 0:
         raise ValueError("target must be >= 0")
@@ -53,11 +57,18 @@ def greedy_decompose(
     prev_stop: int | None = None
     while remainder > 0:
         exact = handle.index_of_value(remainder)
+        if exact is not None and prev_stop is not None and exact >= prev_stop:
+            # a duplicated value may also sit below the stop index
+            exact = next((j for j in range(prev_stop - 1, 0, -1)
+                          if handle.term(j) == remainder), None)
+        elif exact is not None and prev_stop is None:
+            # the target's own word: a term value below its window top leaves
+            # leading zeros that the grammar may not absorb
+            top = handle.top_index(remainder)
+            if exact != top and not word_is_legal(
+                    Decomposition(((exact, 1),)).dense(top), spec):
+                exact = None
         if exact is not None:
-            if prev_stop is not None and exact >= prev_stop:
-                raise NonProgressError(
-                    f"bare summand G_{exact} does not sit below stop index {prev_stop}"
-                )
             assert exact not in out
             out[exact] = 1
             log.steps.append(BlockStep(kind="unit", anchor=exact, remainder=0))

@@ -13,7 +13,15 @@ from the grammar:
   the leading coefficient must stay positive, and that positivity is also
   required of every tail.
 
-The empty decomposition is legal (it represents 0).
+The empty decomposition is legal (it represents 0).  Every entry of a legal
+word lies in 0..max(c, 1); a negative entry is never legal.
+
+``word_is_legal`` decides the grammar with the automaton that ``automaton``
+compiles from these rules: one left-to-right scan per word.  The recursive
+recognizer ``_suffix_witnesses`` transcribes the rules directly; it builds the
+derivations ``word_derivation`` reports and is the reference the automaton
+is tested against.  ``is_legal`` runs the scan first and asks the recognizer
+for a derivation only when the word is legal.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .automaton import DEAD, compile_automaton
 from .errors import AlignmentTooSmallError, DecompositionTextError
 from .recurrence import Kind, RecurrenceSpec
 from .sequence import SequenceHandle
@@ -180,7 +189,7 @@ def _suffix_witnesses(word, spec: RecurrenceSpec):
             if not prefix_ok:
                 break
             a = word[p + t - 1]
-            if a >= c[t - 1]:
+            if not 0 <= a < c[t - 1]:
                 continue
             if plrs and t == 1 and a == 0:
                 continue
@@ -199,10 +208,18 @@ def _suffix_witnesses(word, spec: RecurrenceSpec):
 
 
 def word_is_legal(word, spec: RecurrenceSpec) -> bool:
-    """Decide the grammar on a dense coefficient word (value-blind)."""
-    if not word:
-        return True
-    return _suffix_witnesses(list(word), spec)[0] is not None
+    """Decide the grammar on a dense coefficient word (value-blind): one scan
+    of the spec's automaton.  An entry outside 0..max(c, 1) rejects the word."""
+    delta, accepting = compile_automaton(spec)
+    cap = len(delta[0]) - 1
+    state = 0
+    for d in word:
+        if not 0 <= d <= cap:
+            return False
+        state = delta[state][d]
+        if state == DEAD:
+            return False
+    return accepting[state]
 
 
 def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] | None:
@@ -272,7 +289,8 @@ def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
         return LegalityVerdict(legal=True, alignment=0, blocks=())
     m = window_alignment(d, handle)
     word = d.dense(m)
-    blocks = word_derivation(word, handle.spec)
+    spec = handle.spec
+    blocks = word_derivation(word, spec) if word_is_legal(word, spec) else None
     if blocks is not None:
         return LegalityVerdict(legal=True, alignment=m, blocks=blocks)
     return LegalityVerdict(

@@ -44,6 +44,12 @@ class RecurrenceSpec:
     kind: Kind
     support: frozenset[int]
 
+    def __hash__(self) -> int:
+        # every other field derives from the coefficients, so this agrees with
+        # ==; word_is_legal hashes the spec on every call (the automaton cache
+        # key), and hashing every field costs twice as much (Kind hashes in Python)
+        return hash(self.coefficients)
+
     @property
     def text(self) -> str:
         return ",".join(str(c) for c in self.coefficients)

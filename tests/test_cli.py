@@ -170,6 +170,7 @@ def test_budget_env_override(monkeypatch, capsys):
     (["seq", "--rec", "0,2,2", "--count", "-1"], "--count", "-1"),
     (["scan", "--rec", "0,1,1", "--max", "0"], "--max", "0"),
     (["probe", "--max", "-3"], "--max", "-3"),
+    (["probe", "--grid", "s=a..2"], "--grid", "a"),
 ])
 def test_malformed_option_exits_2(argv, option, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -180,6 +181,24 @@ def test_malformed_option_exits_2(argv, option, value, capsys):
     kind = "positive" if option == "--max" else "non-negative"
     assert captured.err.splitlines()[-1].endswith(
         f"error: argument {option}: not a {kind} integer: {value!r}")
+
+
+@pytest.mark.parametrize("argv,tail", [
+    (["probe", "--grid", "span=0..2"],
+     "error: argument --grid: not a positive integer: '0'"),
+    (["probe", "--out", "/missing/dir/x.csv"],
+     "error: argument --out: cannot write '/missing/dir/x.csv': "
+     "No such file or directory"),
+])
+def test_unusable_probe_option_exits_2(argv, tail, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(tail)
 
 
 def test_malformed_budget_env_exits_2(monkeypatch, capsys):

@@ -53,6 +53,17 @@ def test_totality_and_legality_sampled(text, handles):
         assert is_legal(d, h).legal, (text, n, str(d))
 
 
+@pytest.mark.parametrize("text", ["0,0,1,0,1", "0,0,0,1,0,0,2"])
+def test_totality_and_legality_at_duplicated_term_values(text, handles):
+    # both families repeat term values (G_4 = G_6 = 4 on 0,0,1,0,1), so a
+    # remainder's largest matching index can sit at or above the stop index
+    h = handles(text)
+    for n in range(0, 3001):
+        d = greedy_decompose(h, n)
+        assert evaluate(d, h) == n
+        assert is_legal(d, h).legal, (text, n, str(d))
+
+
 def test_determinism(handles):
     h = handles("0,2,1,2")
     assert greedy_decompose(h, 4321) == greedy_decompose(h, 4321)

@@ -8,6 +8,7 @@ from zecklab import (
     Kind,
     canonicalize,
     evaluate,
+    expand_grid,
     is_legal,
     parse_decomposition,
     parse_recurrence,
@@ -19,6 +20,8 @@ from zecklab import (
 from zecklab.errors import AlignmentTooSmallError, DecompositionTextError
 
 POOL = ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "3,2,4", "1,1", "0,0,2,3"]
+# the acceptance grid: depth <= 3, span <= 4, coefficients <= 4
+GRID = expand_grid(range(0, 4), range(1, 5), 4)[0]
 
 
 def naive_word_legal(word, spec):
@@ -116,6 +119,40 @@ def test_words_with_oversized_entries_are_illegal():
         for word in itertools.product((0, 1, 2), repeat=m):
             if max(word) > 1:
                 assert not word_is_legal(word, spec)
+
+
+@pytest.mark.parametrize("word,text", [
+    ((-1,), "1,1"),
+    ((1, 0, -1), "1,1"),
+    ((0, -3), "0,2,2"),
+    ((-5,), "3,2,4"),
+])
+def test_words_with_negative_entries_are_illegal(word, text):
+    spec = parse_recurrence(text)
+    assert not word_is_legal(word, spec)
+    assert word_derivation(word, spec) is None
+
+
+def test_automaton_matches_recognizer_on_the_grid_exhaustively():
+    # every word of length <= 4 over 0..cap+1, cap = max(c, 1), on all 1940
+    # families: the compiled automaton against the recursive recognizer
+    assert len(GRID) == 1940
+    for text in GRID:
+        spec = parse_recurrence(text)
+        digits = range(max(spec.max_coefficient, 1) + 2)
+        for m in range(5):
+            for word in itertools.product(digits, repeat=m):
+                assert word_is_legal(word, spec) == (
+                    word_derivation(word, spec) is not None), (text, word)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(GRID), st.data())
+def test_automaton_matches_recognizer_on_long_random_words(text, data):
+    spec = parse_recurrence(text)
+    cap = max(spec.max_coefficient, 1)
+    word = data.draw(st.lists(st.integers(-1, cap + 1), max_size=40))
+    assert word_is_legal(word, spec) == (word_derivation(word, spec) is not None)
 
 
 @settings(max_examples=400, deadline=None)
