@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from itertools import chain
 
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 from .legality import Decomposition, canonicalize, word_is_legal
@@ -180,16 +181,32 @@ def _windows(handle: SequenceHandle, bound: int):
     words (word, value) with value <= bound in window m.  Words are
     built per length with a running value cap; counting a word only at its
     value's window alignment keeps each decomposition exactly once.
+
+    Deep families have an empty head (a zero block), which makes every legal
+    word of length k <= m - lag legal again at length m.  Those copies are
+    not built: a word whose value lies above its own length's window is
+    filed once under its value's window j, if its length is at most j - lag,
+    and window j lists it.
     """
     if bound < 1:
         return
     top = handle.top_index(bound)
-    # by_len[k]: every legal length-k word worth <= bound, mapped to its value;
-    # a word derived more than one way is stored once
+    # by_len[k]: the legal length-k words worth <= bound that a non-empty head
+    # derives, mapped to their value; a word derived more than one way is
+    # stored once
     by_len: list[dict[tuple[tuple[int, int], ...], int]] = [{(): 0}]
+    # above[j]: words filed for window j by the empty head, mapped to value
+    above: dict[int, dict[tuple[tuple[int, int], ...], int]] = {}
+    # the empty head's lag m - longest is the same at every length; lengths
+    # built before the first empty head wait in ``unfiled`` (length, window top)
+    lag = None
+    unfiled: list[tuple[int, int]] = []
     for m in range(1, top + 1):
         out: dict[tuple[tuple[int, int], ...], int] = {}
         for head, used, longest in _heads(handle, m, bound):
+            if not head:
+                lag = m - longest
+                continue  # its words are the shorter lengths', filed below
             room = bound - used
             for k in range(longest + 1):
                 for tail, tv in by_len[k].items():
@@ -197,7 +214,19 @@ def _windows(handle: SequenceHandle, bound: int):
                         out[head + tail] = used + tv
         by_len.append(out)
         lo, hi = handle.window(m)
-        yield ((word, val) for word, val in out.items() if lo <= val < hi)
+        unfiled.append((m, hi))
+        if lag is not None:
+            for k, k_hi in unfiled:
+                for word, val in by_len[k].items():
+                    if val >= k_hi and k + lag <= (j := handle.top_index(val)):
+                        above.setdefault(j, {})[word] = val
+            unfiled.clear()
+        view = ((word, val) for word, val in out.items() if lo <= val < hi)
+        if filed := above.pop(m, None):
+            # every non-empty head here holds an index above m - lag, and a
+            # filed word of length <= m - lag none, so none is listed twice
+            view = chain(view, filed.items())
+        yield view
 
 
 def decompositions_up_to(

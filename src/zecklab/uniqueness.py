@@ -227,8 +227,13 @@ def expand_grid(
 
     Lead and last coefficients range over 1..c_max, interior ones over
     0..c_max.  Returns (valid_texts, skipped_notes); grid points rejected by
-    the parser (degenerate index sets) land in the notes.
+    the parser (degenerate index sets) land in the notes.  A depth below 0
+    or a span below 1 raises ValueError.
     """
+    if any(s < 0 for s in depths):
+        raise ValueError(f"depths must be >= 0, got {list(depths)}")
+    if any(span < 1 for span in spans):
+        raise ValueError(f"spans must be >= 1, got {list(spans)}")
     valid: list[str] = []
     skipped: list[str] = []
 

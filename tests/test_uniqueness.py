@@ -121,6 +121,12 @@ def test_expand_grid_skips_degenerate_points():
         parse_recurrence(t)
 
 
+@pytest.mark.parametrize("depths, spans", [(range(-1, 0), [2]), ([1], range(0, 3))])
+def test_expand_grid_rejects_negative_depths_and_empty_spans(depths, spans):
+    with pytest.raises(ValueError):
+        expand_grid(depths, spans, 2)
+
+
 def test_probe_family_records():
     records = probe_family(["0,2,2", "0,1,1", "1,1"], bound=200)
     by_rec = {r.recurrence: r for r in records}
