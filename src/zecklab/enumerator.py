@@ -214,6 +214,14 @@ def _windows(handle: SequenceHandle, bound: int):
                         out[head + tail] = used + tv
         by_len.append(out)
         lo, hi = handle.window(m)
+        view = ((word, val) for word, val in out.items() if lo <= val < hi)
+        if filed := above.pop(m, None):
+            # every non-empty head here holds an index above m - lag, and a
+            # filed word of length <= m - lag none, so none is listed twice
+            view = chain(view, filed.items())
+        yield view
+        # filed once the window is read: no window before m + lag needs these,
+        # and a caller that stops here skips the work
         unfiled.append((m, hi))
         if lag is not None:
             for k, k_hi in unfiled:
@@ -221,12 +229,6 @@ def _windows(handle: SequenceHandle, bound: int):
                     if val >= k_hi and k + lag <= (j := handle.top_index(val)):
                         above.setdefault(j, {})[word] = val
             unfiled.clear()
-        view = ((word, val) for word, val in out.items() if lo <= val < hi)
-        if filed := above.pop(m, None):
-            # every non-empty head here holds an index above m - lag, and a
-            # filed word of length <= m - lag none, so none is listed twice
-            view = chain(view, filed.items())
-        yield view
 
 
 def decompositions_up_to(
