@@ -1,4 +1,4 @@
-"""The block grammar compiled to a deterministic finite automaton.
+"""The block grammar compiled to finite automata.
 
 Legal coefficient words form a regular language (Frougny 1992; Shallit
 1994).  ``compile_automaton`` builds a small NFA for it from the rules in
@@ -18,12 +18,15 @@ block (d < c_t, positive when t = 1 in a depth-0 family) or, at the start of
 a deep-family suffix, open a bare summand (d = 1).  Block positions t <= depth
 carry c_t = 0, so no digit closes a block there.
 
-The recursive recognizer ``legality._suffix_witnesses`` is the reference
-the automaton is tested against; it also builds derivations.
+``word_derivation`` reads a derivation off the same NFA: the DFA of reversed
+words gives the live NFA states before each suffix, and a forward walk takes
+the one live move per digit, extending a gap while a legal tail still follows.
+The tests pin both to a recursive recognizer that transcribes the rules.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .recurrence import Kind, RecurrenceSpec
@@ -31,6 +34,19 @@ from .recurrence import Kind, RecurrenceSpec
 _CACHE_SIZE = 256  # families kept compiled; a grid sweep must not keep all ~2000
 _START, _GAP, _UNIT = 0, 1, 2  # MATCH_i is state _UNIT + i
 DEAD = -1
+
+
+@dataclass(frozen=True)
+class DerivationBlock:
+    """One grammar step.  ``condition`` is 1 (bare summand), 2 (full prefix)
+    or 3 (block); blocks carry the drop position t, its coefficient, and the
+    gap length that follows."""
+
+    condition: int
+    start: int  # 1-based word position where this step begins
+    t: int | None = None
+    coefficient: int | None = None
+    gap: int | None = None
 
 
 def _nfa_moves(spec: RecurrenceSpec, q: int, d: int) -> set[int]:
@@ -57,6 +73,27 @@ def _nfa_accepting(spec: RecurrenceSpec, q: int) -> bool:
     return spec.kind is Kind.PLRR or q - _UNIT > spec.depth
 
 
+def _determinise(start: frozenset[int], step, digits: range):
+    """(rows, subsets) by subset construction from ``start`` (index 0);
+    ``rows[k][d]`` indexes ``step(subsets[k], d)``, or is DEAD if it is empty."""
+    index = {start: 0}
+    subsets = [start]
+    rows: list[tuple[int, ...]] = []
+    for subset in subsets:  # grows while it is scanned: breadth-first
+        row = []
+        for d in digits:
+            nxt = step(subset, d)
+            if not nxt:
+                row.append(DEAD)
+                continue
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    return tuple(rows), subsets
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def compile_automaton(
     spec: RecurrenceSpec,
@@ -68,22 +105,62 @@ def compile_automaton(
     is the start state, and a word ending in state q is legal when
     ``accepting[q]`` is true.
     """
-    digits = range(max(spec.max_coefficient, 1) + 1)
-    start = frozenset({_START})
-    index = {start: 0}
-    subsets = [start]
-    rows: list[tuple[int, ...]] = []
-    for subset in subsets:  # grows while it is scanned: breadth-first
-        row = []
-        for d in digits:
-            nxt = frozenset(r for q in subset for r in _nfa_moves(spec, q, d))
-            if not nxt:
-                row.append(DEAD)
-                continue
-            if nxt not in index:
-                index[nxt] = len(subsets)
-                subsets.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
+    delta, subsets = _determinise(
+        frozenset({_START}),
+        lambda subset, d: frozenset(r for q in subset for r in _nfa_moves(spec, q, d)),
+        range(max(spec.max_coefficient, 1) + 1))
     accepting = tuple(any(_nfa_accepting(spec, q) for q in sub) for sub in subsets)
-    return tuple(rows), accepting
+    return delta, accepting
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reverse_automaton(spec: RecurrenceSpec):
+    """(moves, delta, live): ``moves[q][d]`` is the NFA move set; ``delta``
+    reads a suffix backwards from the accepting NFA states into a state r, and
+    ``live[r]`` holds the NFA states from which that suffix is accepted."""
+    digits = range(max(spec.max_coefficient, 1) + 1)
+    states = range(_UNIT + spec.order)
+    moves = tuple(tuple(frozenset(_nfa_moves(spec, q, d)) for d in digits)
+                  for q in states)
+    delta, live = _determinise(
+        frozenset(q for q in states if _nfa_accepting(spec, q)),
+        lambda subset, d: frozenset(q for q in states if moves[q][d] & subset),
+        digits)
+    return moves, delta, live
+
+
+def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] | None:
+    """The derivation of a legal word, or None if it has none."""
+    word = list(word)
+    moves, delta, live = _reverse_automaton(spec)
+    cap = len(delta[0]) - 1
+    suffix = [0] * (len(word) + 1)  # suffix[j]: reverse state after word[j:]
+    r = 0
+    for j in range(len(word) - 1, -1, -1):
+        d = word[j]
+        r = delta[r][d] if 0 <= d <= cap else DEAD
+        if r == DEAD:
+            return None
+        suffix[j] = r
+    if _START not in live[r]:
+        return None
+    steps = []  # (condition, start, t, coefficient), gaps filled in below
+    q = tail = _START  # tail: 0-based position where the current suffix opened
+    for j, d in enumerate(word):
+        nxt = moves[q][d] & live[suffix[j + 1]]
+        if q == _GAP and d == 0 and _GAP in nxt:
+            continue  # the widest gap: extend it while a legal tail follows
+        (to,) = nxt  # every other live move is the only one
+        if q <= _GAP:  # START or GAP: the next suffix opens at j
+            tail = j
+        if to == _UNIT and q != _UNIT:
+            steps.append((1, j + 1, None, None))
+        elif to == _GAP:
+            steps.append((3, tail + 1, j - tail + 1, d))
+        q = to
+    if q > _UNIT:  # the word ends inside a match: a short full prefix
+        steps.append((2, tail + 1, None, None))
+    ends = [start for _, start, _, _ in steps[1:]] + [len(word) + 1]
+    return tuple(
+        DerivationBlock(cond, start, t, a, None if t is None else end - start - t)
+        for (cond, start, t, a), end in zip(steps, ends))

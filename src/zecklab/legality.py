@@ -17,11 +17,10 @@ The empty decomposition is legal (it represents 0).  Every entry of a legal
 word lies in 0..max(c, 1); a negative entry is never legal.
 
 ``word_is_legal`` decides the grammar with the automaton that ``automaton``
-compiles from these rules: one left-to-right scan per word.  The recursive
-recognizer ``_suffix_witnesses`` transcribes the rules directly; it builds the
-derivations ``word_derivation`` reports and is the reference the automaton
-is tested against.  ``is_legal`` runs the scan first and asks the recognizer
-for a derivation only when the word is legal.
+compiles from these rules: one left-to-right scan per word.
+``word_derivation`` reads the derivation of a legal word off the same NFA.
+``is_legal`` runs the scan first and asks for a derivation only when the word
+is legal; for an illegal word its reason says where the scan rejected it.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
@@ -33,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import DEAD, compile_automaton
+from .automaton import DEAD, DerivationBlock, compile_automaton, word_derivation
 from .errors import AlignmentTooSmallError, DecompositionTextError
-from .recurrence import Kind, RecurrenceSpec
+from .recurrence import RecurrenceSpec
 from .sequence import SequenceHandle
 
 
@@ -129,19 +128,6 @@ def evaluate(d: Decomposition, handle: SequenceHandle) -> int:
 
 
 @dataclass(frozen=True)
-class DerivationBlock:
-    """One grammar step.  ``condition`` is 1 (bare summand), 2 (full prefix)
-    or 3 (block); blocks carry the drop position t, its coefficient, and the
-    gap length that follows."""
-
-    condition: int
-    start: int  # 1-based word position where this step begins
-    t: int | None = None
-    coefficient: int | None = None
-    gap: int | None = None
-
-
-@dataclass(frozen=True)
 class LegalityVerdict:
     legal: bool
     alignment: int
@@ -149,105 +135,24 @@ class LegalityVerdict:
     reason: str | None = None
 
 
-def _suffix_witnesses(word, spec: RecurrenceSpec):
-    """For each suffix start p, a witness of its legality or None.
-
-    Witnesses: ("end",), ("unit",), ("prefix",), or ("block", t, gap, next_p).
-    Computed bottom-up so the block search can reuse tail verdicts.
-    """
-    c, s, L = spec.coefficients, spec.depth, spec.order
-    plrs = spec.kind is Kind.PLRR
-    m = len(word)
-    wit: list[tuple | None] = [None] * (m + 1)
-    wit[m] = ("end",)
-    # first nonzero position at or after p (m when none)
-    nz = [m] * (m + 1)
-    for p in range(m - 1, -1, -1):
-        nz[p] = p if word[p] else nz[p + 1]
-    for p in range(m - 1, -1, -1):
-        k = m - p
-        if plrs and word[p] == 0:
-            continue  # leading coefficient must be positive, tails included
-        if not plrs and word[p] == 1 and nz[p + 1] == m:
-            wit[p] = ("unit",)
-            continue
-        if k < L and (plrs or s < k) and all(word[p + i] == c[i] for i in range(k)):
-            wit[p] = ("prefix",)
-            continue
-        t_lo = 1 if plrs else s + 1
-        if k < t_lo:
-            continue  # suffix too short to hold any block position
-        prefix_ok = True
-        for i in range(t_lo - 1):
-            if word[p + i] != c[i]:
-                prefix_ok = False
-                break
-        found = None
-        for t in range(t_lo, min(L, k) + 1):
-            if t > t_lo:
-                prefix_ok = prefix_ok and word[p + t - 2] == c[t - 2]
-            if not prefix_ok:
-                break
-            a = word[p + t - 1]
-            if not 0 <= a < c[t - 1]:
-                continue
-            if plrs and t == 1 and a == 0:
-                continue
-            q0 = p + t
-            q_hi = min(nz[q0], m) if q0 < m else m
-            # prefer the widest gap: reported derivations then end blocks at
-            # the last zero before the tail, so block boundaries sit next to their gaps
-            for q in range(q_hi, q0 - 1, -1):
-                if wit[q] is not None:
-                    found = ("block", t, q - q0, q)
-                    break
-            if found:
-                break
-        wit[p] = found
-    return wit
+def _scan(word, spec: RecurrenceSpec) -> int:
+    """Where one scan of the spec's automaton rejects the word: the 1-based
+    position of the digit that takes it to DEAD, len(word) + 1 if it ends in a
+    non-accepting state, or 0 if it accepts."""
+    delta, accepting = compile_automaton(spec)
+    cap = len(delta[0]) - 1
+    state = n = 0
+    for d in word:
+        n += 1
+        if not 0 <= d <= cap or (state := delta[state][d]) == DEAD:
+            return n
+    return 0 if accepting[state] else n + 1
 
 
 def word_is_legal(word, spec: RecurrenceSpec) -> bool:
-    """Decide the grammar on a dense coefficient word (value-blind): one scan
-    of the spec's automaton.  An entry outside 0..max(c, 1) rejects the word."""
-    delta, accepting = compile_automaton(spec)
-    cap = len(delta[0]) - 1
-    state = 0
-    for d in word:
-        if not 0 <= d <= cap:
-            return False
-        state = delta[state][d]
-        if state == DEAD:
-            return False
-    return accepting[state]
-
-
-def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] | None:
-    """The derivation of a legal word, or None if it has none."""
-    word = list(word)
-    if not word:
-        return ()
-    wit = _suffix_witnesses(word, spec)
-    if wit[0] is None:
-        return None
-    blocks = []
-    p = 0
-    while p < len(word):
-        w = wit[p]
-        if w[0] == "unit":
-            blocks.append(DerivationBlock(condition=1, start=p + 1))
-            break
-        if w[0] == "prefix":
-            blocks.append(DerivationBlock(condition=2, start=p + 1))
-            break
-        _, t, gap, next_p = w
-        blocks.append(
-            DerivationBlock(
-                condition=3, start=p + 1, t=t, coefficient=word[p + t - 1], gap=gap
-            )
-        )
-        p = next_p
-    return tuple(blocks)
+    """Decide the grammar on a dense coefficient word (value-blind).  An entry
+    outside 0..max(c, 1) rejects the word."""
+    return not _scan(word, spec)
 
 
 def replay_derivation(
@@ -290,11 +195,14 @@ def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
     m = window_alignment(d, handle)
     word = d.dense(m)
     spec = handle.spec
-    blocks = word_derivation(word, spec) if word_is_legal(word, spec) else None
-    if blocks is not None:
+    at = _scan(word, spec)
+    if not at:
+        blocks = word_derivation(word, spec)
         return LegalityVerdict(legal=True, alignment=m, blocks=blocks)
+    where = (f"the automaton dies at position {at} on digit {word[at - 1]}" if at <= m
+             else "the word ends in a non-accepting automaton state")
     return LegalityVerdict(
         legal=False,
         alignment=m,
-        reason=f"no grammar derivation for word {word} at window alignment {m}",
+        reason=f"no grammar derivation for word {word} at window alignment {m}: {where}",
     )

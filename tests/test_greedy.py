@@ -6,12 +6,19 @@ from zecklab import (
     SequenceHandle,
     enumerate_legal,
     evaluate,
+    expand_grid,
     greedy_decompose,
     is_legal,
+    replay_derivation,
 )
+from zecklab.errors import NonProgressError
 
 FAMILIES = ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "0,3,1",
             "1,1", "3,2,4", "2,2", "0,1,2", "0,0,2,3"]
+# the acceptance grid without the constant family 1, whose terms never grow
+GRID = [text for text in expand_grid(range(0, 4), range(1, 5), 4)[0] if text != "1"]
+# terms not monotone (G_18 = 27 > G_19 = 26): greedy raises on some values
+RESIDUE = "0,0,0,1,0,0,1"
 
 
 @pytest.mark.parametrize(
@@ -114,3 +121,19 @@ def test_totality_property(text, n):
     d = greedy_decompose(h, n)
     assert evaluate(d, h) == n
     assert is_legal(d, h).legal
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRID), st.integers(0, 10**50))
+def test_greedy_is_total_legal_and_replays_on_the_grid(handles, text, n):
+    h = handles(text)
+    try:
+        d = greedy_decompose(h, n)
+    except NonProgressError:
+        assert text == RESIDUE, (text, n)
+        return
+    assert evaluate(d, h) == n
+    verdict = is_legal(d, h)
+    assert verdict.legal, (text, n, str(d))
+    word = replay_derivation(verdict.blocks, verdict.alignment, h.spec)
+    assert word == d.dense(verdict.alignment)

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from zecklab import (
     Decomposition,
+    DerivationBlock,
     Kind,
+    RecurrenceSpec,
     canonicalize,
     evaluate,
     expand_grid,
@@ -52,6 +54,95 @@ def naive_word_legal(word, spec):
             if naive_word_legal(word[t + gap :], spec):
                 return True
     return False
+
+
+# --- the recursive recognizer: the grammar rules transcribed, memoised per suffix
+
+def _suffix_witnesses(word, spec: RecurrenceSpec):
+    """For each suffix start p, a witness of its legality or None.
+
+    Witnesses: ("end",), ("unit",), ("prefix",), or ("block", t, gap, next_p).
+    Computed bottom-up so the block search can reuse tail verdicts.
+    """
+    c, s, L = spec.coefficients, spec.depth, spec.order
+    plrs = spec.kind is Kind.PLRR
+    m = len(word)
+    wit: list[tuple | None] = [None] * (m + 1)
+    wit[m] = ("end",)
+    # first nonzero position at or after p (m when none)
+    nz = [m] * (m + 1)
+    for p in range(m - 1, -1, -1):
+        nz[p] = p if word[p] else nz[p + 1]
+    for p in range(m - 1, -1, -1):
+        k = m - p
+        if plrs and word[p] == 0:
+            continue  # leading coefficient must be positive, tails included
+        if not plrs and word[p] == 1 and nz[p + 1] == m:
+            wit[p] = ("unit",)
+            continue
+        if k < L and (plrs or s < k) and all(word[p + i] == c[i] for i in range(k)):
+            wit[p] = ("prefix",)
+            continue
+        t_lo = 1 if plrs else s + 1
+        if k < t_lo:
+            continue  # suffix too short to hold any block position
+        prefix_ok = True
+        for i in range(t_lo - 1):
+            if word[p + i] != c[i]:
+                prefix_ok = False
+                break
+        found = None
+        for t in range(t_lo, min(L, k) + 1):
+            if t > t_lo:
+                prefix_ok = prefix_ok and word[p + t - 2] == c[t - 2]
+            if not prefix_ok:
+                break
+            a = word[p + t - 1]
+            if not 0 <= a < c[t - 1]:
+                continue
+            if plrs and t == 1 and a == 0:
+                continue
+            q0 = p + t
+            q_hi = min(nz[q0], m) if q0 < m else m
+            # prefer the widest gap: reported derivations then end blocks at
+            # the last zero before the tail, so block boundaries sit next to their gaps
+            for q in range(q_hi, q0 - 1, -1):
+                if wit[q] is not None:
+                    found = ("block", t, q - q0, q)
+                    break
+            if found:
+                break
+        wit[p] = found
+    return wit
+
+
+def reference_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] | None:
+    """The derivation of a legal word, or None if it has none: the reference
+    ``word_derivation`` and ``word_is_legal`` are pinned to."""
+    word = list(word)
+    if not word:
+        return ()
+    wit = _suffix_witnesses(word, spec)
+    if wit[0] is None:
+        return None
+    blocks = []
+    p = 0
+    while p < len(word):
+        w = wit[p]
+        if w[0] == "unit":
+            blocks.append(DerivationBlock(condition=1, start=p + 1))
+            break
+        if w[0] == "prefix":
+            blocks.append(DerivationBlock(condition=2, start=p + 1))
+            break
+        _, t, gap, next_p = w
+        blocks.append(
+            DerivationBlock(
+                condition=3, start=p + 1, t=t, coefficient=word[p + t - 1], gap=gap
+            )
+        )
+        p = next_p
+    return tuple(blocks)
 
 
 # --- decomposition plumbing -------------------------------------------------
@@ -135,15 +226,17 @@ def test_words_with_negative_entries_are_illegal(word, text):
 
 def test_automaton_matches_recognizer_on_the_grid_exhaustively():
     # every word of length <= 4 over 0..cap+1, cap = max(c, 1), on all 1940
-    # families: the compiled automaton against the recursive recognizer
+    # families: both automata against the recursive recognizer, derivations
+    # compared whole
     assert len(GRID) == 1940
     for text in GRID:
         spec = parse_recurrence(text)
         digits = range(max(spec.max_coefficient, 1) + 2)
         for m in range(5):
             for word in itertools.product(digits, repeat=m):
-                assert word_is_legal(word, spec) == (
-                    word_derivation(word, spec) is not None), (text, word)
+                expected = reference_derivation(word, spec)
+                assert word_derivation(word, spec) == expected, (text, word)
+                assert word_is_legal(word, spec) == (expected is not None), (text, word)
 
 
 @settings(max_examples=400, deadline=None)
@@ -152,7 +245,9 @@ def test_automaton_matches_recognizer_on_long_random_words(text, data):
     spec = parse_recurrence(text)
     cap = max(spec.max_coefficient, 1)
     word = data.draw(st.lists(st.integers(-1, cap + 1), max_size=40))
-    assert word_is_legal(word, spec) == (word_derivation(word, spec) is not None)
+    expected = reference_derivation(word, spec)
+    assert word_derivation(word, spec) == expected
+    assert word_is_legal(word, spec) == (expected is not None)
 
 
 @settings(max_examples=400, deadline=None)
@@ -220,9 +315,16 @@ def test_lagonacci_seven_alternative(handles):
 def test_lagonacci_ten_second_sum_is_illegal(handles):
     # 10 = 6 + 4 uses the third and fifth terms; the grammar rejects it
     h = handles("0,1,1")
-    verdict = is_legal(Decomposition.from_dict({5: 1, 3: 1}), h)
+    d = Decomposition.from_dict({5: 1, 3: 1})
+    verdict = is_legal(d, h)
     assert not verdict.legal
     assert verdict.alignment == 7
+    # the word 0,0,1,0,1,0,0: the bare summand at position 3 admits no
+    # second nonzero digit, so the scan dies on the 1 at position 5
+    assert d.dense(7) == [0, 0, 1, 0, 1, 0, 0]
+    assert verdict.reason.startswith(
+        "no grammar derivation for word [0, 0, 1, 0, 1, 0, 0] at window alignment 7")
+    assert verdict.reason.endswith("the automaton dies at position 5 on digit 1")
 
 
 def test_empty_decomposition_is_legal(handles):
