@@ -134,16 +134,15 @@ def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] |
     word = list(word)
     moves, delta, live = _reverse_automaton(spec)
     cap = len(delta[0]) - 1
-    suffix = [0] * (len(word) + 1)  # suffix[j]: reverse state after word[j:]
     r = 0
-    for j in range(len(word) - 1, -1, -1):
-        d = word[j]
-        r = delta[r][d] if 0 <= d <= cap else DEAD
-        if r == DEAD:
+    suffix = [r]
+    for d in reversed(word):
+        if not 0 <= d <= cap or (r := delta[r][d]) == DEAD:
             return None
-        suffix[j] = r
+        suffix.append(r)
     if _START not in live[r]:
         return None
+    suffix.reverse()  # suffix[j]: reverse state after word[j:]
     steps = []  # (condition, start, t, coefficient), gaps filled in below
     q = tail = _START  # tail: 0-based position where the current suffix opened
     for j, d in enumerate(word):
@@ -160,7 +159,7 @@ def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] |
         q = to
     if q > _UNIT:  # the word ends inside a match: a short full prefix
         steps.append((2, tail + 1, None, None))
-    ends = [start for _, start, _, _ in steps[1:]] + [len(word) + 1]
+    ends = [start for _, start, _, _ in steps[1:]] + [len(suffix)]
     return tuple(
         DerivationBlock(cond, start, t, a, None if t is None else end - start - t)
         for (cond, start, t, a), end in zip(steps, ends))
