@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
 a malformed option or an unwritable --out path, 3 scan exhausted under
 --expect-find, 4 internal inconsistency (oracle mismatch or counterexample
-verification failure), 5 enumeration budget exceeded.
+verification failure), 5 enumeration budget or oracle bound exceeded.
 """
 
 from __future__ import annotations
@@ -12,13 +12,15 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
-from .enumerator import enumerate_legal, first_nonunique, grammar_budget, naive_oracle
+from .enumerator import enumerate_legal, grammar_budget, naive_oracle
 from .errors import (
     BudgetExceededError,
     ConstructionFailedError,
     DecompositionTextError,
     NotApplicableError,
+    OracleBoundExceededError,
     RecurrenceError,
     ZecklabError,
 )
@@ -139,10 +141,7 @@ def _cmd_check(args) -> int:
         }
         if verdict.blocks is not None:
             payload["derivation"] = [
-                {k: v for k, v in {
-                    "condition": b.condition, "start": b.start,
-                    "t": b.t, "coefficient": b.coefficient, "gap": b.gap,
-                }.items() if v is not None}
+                {k: v for k, v in asdict(b).items() if v is not None}
                 for b in verdict.blocks
             ]
         if verdict.reason:
@@ -167,7 +166,7 @@ def _cmd_enumerate(args) -> int:
     grammar = sorted(enumerate_legal(handle, n, args.budget), key=str)
     result = grammar
     if args.oracle:
-        oracle = sorted(naive_oracle(handle, n, max(n, 1)), key=str)
+        oracle = sorted(naive_oracle(handle, n), key=str)
         if oracle != grammar:
             print(
                 "INCONSISTENT: oracle and grammar enumerations disagree for "
@@ -191,17 +190,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_scan(args) -> int:
     handle = _handle_for(args)
+    report = verify_uniqueness_range(handle, args.max, args.budget)
     if args.mode == "nonunique":
-        hit = first_nonunique(handle, args.max, args.budget)
-        if hit is None:
+        if report.all_unique:
             print(f"no value in 1..{args.max} has two legal decompositions")
             return EXIT_NOT_FOUND if args.expect_find else EXIT_OK
-        value, count = hit
-        decomps = sorted(enumerate_legal(handle, value, args.budget), key=str)
+        value, count = report.violation
         print(f"N={value} has {count} decompositions: "
-              + "; ".join(str(d) for d in decomps))
+              + "; ".join(str(d) for d in report.witnesses))
         return EXIT_OK
-    report = verify_uniqueness_range(handle, args.max, args.budget)
     if report.all_unique:
         print(f"all values 1..{args.max} have a unique legal decomposition")
     else:
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lemma22)
 
     p = sub.add_parser("counterexample", help="build the two-decompositions witness")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("probe", help="sweep a family grid, write CSV")
@@ -386,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except DecompositionTextError as exc:
         print(f"invalid decomposition: {exc}", file=sys.stderr)
         return EXIT_BAD_DECOMP
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, OracleBoundExceededError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ZecklabError as exc:

@@ -16,6 +16,7 @@ import os
 from collections import Counter
 from itertools import chain
 
+from .automaton import DEAD, compile_automaton
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 from .legality import Decomposition, canonicalize, word_is_legal
 from .recurrence import Kind
@@ -23,7 +24,7 @@ from .sequence import SequenceHandle
 
 DEFAULT_GRAMMAR_BUDGET = 10**6
 DEFAULT_ORACLE_BOUND = 500
-_STATE_LIMIT = 2_000_000  # memo entries across one generator, guards blowup
+_STATE_LIMIT = 2_000_000  # memo entries one enumeration may add, guards blowup
 
 
 def grammar_budget() -> int:
@@ -73,11 +74,13 @@ def _heads(handle: SequenceHandle, m: int, cap: int):
 
 
 class _WordGenerator:
-    """Memoized generation of legal sparse words of exact length and value."""
+    """Memoized generation of legal sparse words of exact length and value.
+    The memo is kept between calls as a bounded cache (see ``_generator``)."""
 
     def __init__(self, handle: SequenceHandle):
         self.handle = handle
         self.memo: dict[tuple[int, int], frozenset] = {}
+        self.ceiling = _STATE_LIMIT  # memo size at which this call gives up
 
     def words(self, m: int, value: int) -> frozenset:
         """All legal words of length m whose value is exactly ``value``."""
@@ -85,7 +88,7 @@ class _WordGenerator:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if len(self.memo) > _STATE_LIMIT:
+        if len(self.memo) > self.ceiling:
             raise BudgetExceededError("grammar enumeration state limit reached")
         out: set[tuple[tuple[int, int], ...]] = set()
         if m == 0:
@@ -106,10 +109,14 @@ class _WordGenerator:
 
 
 def _generator(handle: SequenceHandle) -> _WordGenerator:
+    """The handle's generator, set up for one call: a memo already past
+    ``_STATE_LIMIT`` is cleared, and the call may add ``_STATE_LIMIT`` more."""
     gen = getattr(handle, "_word_generator", None)
     if gen is None:
-        gen = _WordGenerator(handle)
-        handle._word_generator = gen
+        gen = handle._word_generator = _WordGenerator(handle)
+    if len(gen.memo) > _STATE_LIMIT:
+        gen.memo.clear()
+    gen.ceiling = len(gen.memo) + _STATE_LIMIT
     return gen
 
 
@@ -182,31 +189,27 @@ def _windows(handle: SequenceHandle, bound: int):
     built per length with a running value cap; counting a word only at its
     value's window alignment keeps each decomposition exactly once.
 
-    Deep families have an empty head (a zero block), which makes every legal
-    word of length k <= m - lag legal again at length m.  Those copies are
-    not built: a word whose value lies above its own length's window is
-    filed once under its value's window j, if its length is at most j - lag,
-    and window j lists it.
+    Deep families have an empty head, the zero block (s leading zeros, then
+    a = 0 at t = s + 1), which makes every legal word of length k <= m - lag
+    legal again at length m, lag = s + 1.  Those copies are not built: a word
+    above its own length's window is filed once under its value's window j,
+    if its length is at most j - lag, and window j lists it.
     """
     if bound < 1:
         return
     top = handle.top_index(bound)
+    lag = None if handle.spec.kind is Kind.PLRR else handle.spec.depth + 1
     # by_len[k]: the legal length-k words worth <= bound that a non-empty head
     # derives, mapped to their value; a word derived more than one way is
     # stored once
     by_len: list[dict[tuple[tuple[int, int], ...], int]] = [{(): 0}]
     # above[j]: words filed for window j by the empty head, mapped to value
     above: dict[int, dict[tuple[tuple[int, int], ...], int]] = {}
-    # the empty head's lag m - longest is the same at every length; lengths
-    # built before the first empty head wait in ``unfiled`` (length, window top)
-    lag = None
-    unfiled: list[tuple[int, int]] = []
     for m in range(1, top + 1):
         out: dict[tuple[tuple[int, int], ...], int] = {}
         for head, used, longest in _heads(handle, m, bound):
             if not head:
-                lag = m - longest
-                continue  # its words are the shorter lengths', filed below
+                continue  # the zero block: its words are filed below
             room = bound - used
             for k in range(longest + 1):
                 for tail, tv in by_len[k].items():
@@ -222,13 +225,10 @@ def _windows(handle: SequenceHandle, bound: int):
         yield view
         # filed once the window is read: no window before m + lag needs these,
         # and a caller that stops here skips the work
-        unfiled.append((m, hi))
         if lag is not None:
-            for k, k_hi in unfiled:
-                for word, val in by_len[k].items():
-                    if val >= k_hi and k + lag <= (j := handle.top_index(val)):
-                        above.setdefault(j, {})[word] = val
-            unfiled.clear()
+            for word, val in out.items():
+                if val >= hi and m + lag <= (j := handle.top_index(val)):
+                    above.setdefault(j, {})[word] = val
 
 
 def decompositions_up_to(
@@ -270,23 +270,22 @@ def bijection_count(handle: SequenceHandle, n: int) -> tuple[int, int]:
     """(number of legal decompositions whose top summand index is exactly n,
     G_{n+1} - G_n).  Depth-0 families only; the two numbers should agree.
 
-    The count walks the grammar: a word either is the full short prefix, or
-    opens with a block at its first drop position followed by zeros and a
-    legal tail.  For depth-0 families that derivation is unique per word, so
-    plain addition counts words exactly.
+    The count is the number of length-n paths in the legality DFA from the
+    start state to an accepting state.  A depth-0 word cannot open with a
+    zero, so each of them has its top summand at index n.
     """
     if handle.spec.kind is not Kind.PLRR:
         raise NotPLRSError("alignment census requires a depth-0 recurrence")
     if n < 1:
         raise ValueError("alignment must be >= 1")
-    c, L = handle.spec.coefficients, handle.spec.order
-    counts = [1]  # counts[k]: legal words of length k with positive lead
-    for k in range(1, n + 1):
-        total = 1 if k < L else 0
-        for t in range(1, min(L, k) + 1):
-            choices = c[t - 1] - 1 if t == 1 else c[t - 1]
-            if choices:
-                # suffix after the block: all zeros, or zeros then a word
-                total += choices * (1 + sum(counts[1 : k - t + 1]))
-        counts.append(total)
-    return counts[n], handle.term(n + 1) - handle.term(n)
+    delta, accepting = compile_automaton(handle.spec)
+    paths = [1] + [0] * (len(delta) - 1)  # paths[q]: words read so far ending in q
+    for _ in range(n):
+        nxt = [0] * len(delta)
+        for q, k in enumerate(paths):
+            for r in delta[q]:
+                if r != DEAD:
+                    nxt[r] += k
+        paths = nxt
+    count = sum(k for k, acc in zip(paths, accepting) if acc)
+    return count, handle.term(n + 1) - handle.term(n)

@@ -12,7 +12,8 @@ decompositions and reports exactly what holds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import product
 
 from .errors import (
     BudgetExceededError,
@@ -203,21 +204,8 @@ class ExperimentRecord:
     note: str = ""
 
     def csv_cells(self) -> list[str]:
-        def cell(v):
-            return "" if v is None else str(v)
-
-        return [
-            self.recurrence,
-            str(self.s),
-            str(self.L),
-            str(self.bound),
-            cell(self.first_nonunique_n),
-            cell(self.count_at_n),
-            cell(self.slack),
-            cell(self.counterexample_n),
-            self.status,
-            str(self.elapsed_ms),
-        ]
+        """Every field but the trailing ``note``, in ``CSV_HEADER``'s order."""
+        return ["" if v is None else str(v) for v in astuple(self)[:-1]]
 
 
 def expand_grid(
@@ -236,25 +224,11 @@ def expand_grid(
         raise ValueError(f"spans must be >= 1, got {list(spans)}")
     valid: list[str] = []
     skipped: list[str] = []
-
-    def tuples(span: int):
-        if span == 1:
-            for lead in range(1, c_max + 1):
-                yield (lead,)
-            return
-        def rec(prefix, left):
-            if left == 1:
-                for last in range(1, c_max + 1):
-                    yield prefix + (last,)
-                return
-            for mid in range(0, c_max + 1):
-                yield from rec(prefix + (mid,), left - 1)
-        for lead in range(1, c_max + 1):
-            yield from rec((lead,), span - 1)
-
+    leads, inner = range(1, c_max + 1), range(c_max + 1)
     for s in depths:
         for span in spans:
-            for tail in tuples(span):
+            ranges = [leads, *[inner] * (span - 2), leads] if span > 1 else [leads]
+            for tail in product(*ranges):
                 text = ",".join(str(v) for v in (0,) * s + tail)
                 try:
                     parse_recurrence(text)

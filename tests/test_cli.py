@@ -90,6 +90,13 @@ def test_enumerate_with_oracle_agrees(capsys):
     assert payload["decompositions"] == ["6:1,4:1"]
 
 
+def test_enumerate_oracle_above_its_bound_exits_5(capsys):
+    code, out, err = run(capsys, "enumerate", "--rec", "0,1,1", "--n", "501", "--oracle")
+    assert code == 5
+    assert out == ""
+    assert err.strip() == "budget exceeded: value 501 exceeds oracle bound 500"
+
+
 def test_scan_finds_lagonacci_pair(capsys):
     code, out, _ = run(capsys, "scan", "--rec", "0,1,1", "--max", "100",
                        "--mode", "nonunique")
@@ -127,6 +134,17 @@ def test_counterexample_reports_discrepancy(capsys):
     assert code == 4
     assert "construction failed" in err
     assert "count_at_n: 1" in err
+
+
+def test_counterexample_is_bounded_by_the_environment_only(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--rec", "0,2,2", "--budget", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
+    monkeypatch.setenv("ZECKLAB_BUDGET", "1")
+    code, _, err = run(capsys, "counterexample", "--rec", "0,2,2")
+    assert code == 5
+    assert "budget exceeded" in err
 
 
 def test_probe_writes_csv(tmp_path, capsys):

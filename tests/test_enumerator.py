@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 
 from zecklab import (
@@ -12,6 +14,7 @@ from zecklab import (
     greedy_decompose,
     naive_oracle,
 )
+from zecklab import enumerator
 from zecklab.errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 
 ORACLE_POOL = ["1,1", "3,2,4", "0,2,2", "0,1,1", "0,0,1,4"]
@@ -149,6 +152,17 @@ def test_bijection_cross_check_against_enumeration(handles):
             assert bijection_count(h, n) == (anchored, hi - lo), (text, n)
 
 
+def test_bijection_census_matches_the_gap_on_the_grid():
+    # every depth-0 family of the acceptance grid but the constant one
+    texts = [t for t in expand_grid([0], range(1, 5), 4)[0] if t != "1"]
+    assert len(texts) == 499
+    for text in texts:
+        h = SequenceHandle.from_text(text)
+        terms = h.terms(22)
+        for n in range(1, 21):
+            assert bijection_count(h, n)[0] == terms[n] - terms[n - 1], (text, n)
+
+
 def test_bijection_requires_depth_zero(handles):
     with pytest.raises(NotPLRSError):
         bijection_count(handles("0,2,2"), 3)
@@ -162,6 +176,28 @@ def test_budget_errors(handles):
         naive_oracle(h, 501)
     with pytest.raises(BudgetExceededError):
         decompositions_up_to(h, 10**9, budget=10**6)
+
+
+def test_word_memo_is_a_bounded_cache(monkeypatch):
+    # a long-lived handle answers every query that a fresh handle answers;
+    # only a call whose own additions pass the limit raises
+    limit = 50
+    monkeypatch.setattr(enumerator, "_STATE_LIMIT", limit)
+    h = SequenceHandle.from_text("0,0,1,5")
+    refused = []
+    largest = 0
+    for n in range(1, 600):
+        try:
+            want = enumerate_legal(SequenceHandle.from_text("0,0,1,5"), n)
+        except BudgetExceededError:
+            refused.append(n)
+            with contextlib.suppress(BudgetExceededError):
+                enumerate_legal(h, n)
+        else:
+            assert enumerate_legal(h, n) == want, n
+        largest = max(largest, len(h._word_generator.memo))
+    assert refused, "no single call passed the limit"
+    assert largest <= 2 * limit + 1
 
 
 def test_env_var_budget(monkeypatch, handles):
