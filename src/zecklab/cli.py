@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
-from .enumerator import enumerate_legal, grammar_budget, naive_oracle
+from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, naive_oracle
 from .errors import (
     BudgetExceededError,
     ConstructionFailedError,
@@ -191,16 +192,14 @@ def _cmd_enumerate(args) -> int:
 def _cmd_scan(args) -> int:
     handle = _handle_for(args)
     report = verify_uniqueness_range(handle, args.max, args.budget)
-    if args.mode == "nonunique":
-        if report.all_unique:
-            print(f"no value in 1..{args.max} has two legal decompositions")
-            return EXIT_NOT_FOUND if args.expect_find else EXIT_OK
+    if report.all_unique:
+        print(f"no value in 1..{args.max} has two legal decompositions"
+              if args.mode == "nonunique" else
+              f"all values 1..{args.max} have a unique legal decomposition")
+    elif args.mode == "nonunique":
         value, count = report.violation
         print(f"N={value} has {count} decompositions: "
               + "; ".join(str(d) for d in report.witnesses))
-        return EXIT_OK
-    if report.all_unique:
-        print(f"all values 1..{args.max} have a unique legal decomposition")
     else:
         value, count = report.violation
         print("=" * 60)
@@ -209,7 +208,7 @@ def _cmd_scan(args) -> int:
         for d in report.witnesses:
             print(f"  {d}")
         print("=" * 60)
-    return EXIT_OK
+    return EXIT_NOT_FOUND if args.expect_find and report.all_unique else EXIT_OK
 
 
 def _cmd_lemma22(args) -> int:
@@ -228,7 +227,7 @@ def _cmd_lemma22(args) -> int:
 def _cmd_counterexample(args) -> int:
     handle = _handle_for(args)
     try:
-        report = construct_counterexample(handle)
+        report = construct_counterexample(handle, args.budget)
     except NotApplicableError as exc:
         print(f"not applicable: {exc}")
         return EXIT_OK
@@ -261,22 +260,28 @@ def _cmd_counterexample(args) -> int:
 
 def _parse_range(text: str, kind=_natural) -> list[int]:
     """"lo..hi" or "a;b;c", each bound parsed by the argparse type ``kind``."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(kind(lo.strip()), kind(hi.strip()) + 1))
-    return [kind(p.strip()) for p in text.split(";")]
+    lo, dots, hi = text.partition("..")
+    values = (list(range(kind(lo.strip()), kind(hi.strip()) + 1)) if dots
+              else [kind(p.strip()) for p in text.split(";")])
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return values
 
 
 def _grid(text: str) -> tuple[list[int], list[int], int]:
     """argparse type: "s=1..2,span=2..3,c=0..3" as (depths, spans, c_max)."""
-    grid: dict[str, str] = {}
+    grid = {"s": "1..2", "span": "2..3", "c": "0..3"}
     for part in text.split(","):
         key, _, val = part.partition("=")
+        if key.strip() not in grid:
+            raise argparse.ArgumentTypeError(f"unknown key: {key.strip()!r}")
         grid[key.strip()] = val.strip()
-    depths = _parse_range(grid.get("s", "1..2"))
-    spans = _parse_range(grid.get("span", "2..3"), _positive)
-    c_max = _natural(grid.get("c", "3").split("..")[-1].strip())
-    return depths, spans, c_max
+    depths = _parse_range(grid["s"])
+    spans = _parse_range(grid["span"], _positive)
+    coefficients = _parse_range(grid["c"])
+    if coefficients != list(range(len(coefficients))):
+        raise argparse.ArgumentTypeError(f"c must run from 0: {grid['c']!r}")
+    return depths, spans, coefficients[-1]
 
 
 def _cmd_probe(args) -> int:
@@ -287,15 +292,21 @@ def _cmd_probe(args) -> int:
         print(f"error: argument --out: cannot write {args.out!r}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_BAD_DECOMP
+    records = []
     try:
         texts, skipped = expand_grid(*args.grid)
         for note in skipped:
             print(f"skipped invalid grid point: {note}", file=sys.stderr)
-        records = probe_family(texts, args.max, args.budget)
         writer = csv.writer(out)
         writer.writerow(CSV_HEADER.split(","))
-        for rec in records:
+        for text in texts:
+            try:
+                [rec] = probe_family([text], args.max, args.budget)
+            except ZecklabError as exc:
+                print(f"error: family {text}: {exc}", file=sys.stderr)
+                continue
             writer.writerow(rec.csv_cells())
+            records.append(rec)
     finally:
         if args.out:
             out.close()
@@ -303,7 +314,7 @@ def _cmd_probe(args) -> int:
     if findings:
         print(f"{len(findings)} of {len(records)} families reported a non-ok "
               "status; inspect the CSV", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_INCONSISTENT if len(records) < len(texts) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,57 +324,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True):
+    def command(name, func, summary, as_json=True, budget=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--rec", required=True, help="coefficients c1,c2,...,cL")
-        p.add_argument("--json", action="store_true")
+        if as_json:
+            p.add_argument("--json", action="store_true")
         if budget:
             p.add_argument("--budget", type=_natural)
+        return p
 
-    p = sub.add_parser("seq", help="print sequence terms")
-    common(p, budget=False)
+    p = command("seq", _cmd_seq, "print sequence terms")
     p.add_argument("--count", type=_natural, required=True)
-    p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("decompose", help="greedy decomposition of N")
-    common(p, budget=False)
+    p = command("decompose", _cmd_decompose, "greedy decomposition of N")
     p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("check", help="legality verdict for a decomposition")
-    common(p, budget=False)
+    p = command("check", _cmd_check, "legality verdict for a decomposition")
     p.add_argument("--decomp", required=True, help='e.g. "8:2,7:1,5:2"')
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("enumerate", help="all legal decompositions of N")
-    common(p)
+    p = command("enumerate", _cmd_enumerate, "all legal decompositions of N",
+                budget=True)
     p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the brute-force oracle")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("scan", help="scan a range for uniqueness failures")
-    common(p)
+    p = command("scan", _cmd_scan, "scan a range for uniqueness failures",
+                as_json=False, budget=True)
     p.add_argument("--max", type=_positive, required=True)
     p.add_argument("--mode", choices=["nonunique", "unique"], default="nonunique")
     p.add_argument("--expect-find", action="store_true")
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("lemma22", help="window-slack value for the construction")
-    common(p, budget=False)
-    p.set_defaults(func=_cmd_lemma22)
+    command("lemma22", _cmd_lemma22, "window-slack value for the construction",
+            as_json=False)
 
-    p = sub.add_parser("counterexample", help="build the two-decompositions witness")
-    common(p, budget=False)
-    p.set_defaults(func=_cmd_counterexample)
+    # enumerates too, under ZECKLAB_BUDGET only
+    p = command("counterexample", _cmd_counterexample,
+                "build the two-decompositions witness")
+    p.set_defaults(budget=None)
 
     p = sub.add_parser("probe", help="sweep a family grid, write CSV")
+    p.set_defaults(func=_cmd_probe)
     p.add_argument("--grid", type=_grid, default="s=1..2,span=2..3,c=0..3",
                    help='e.g. "s=1..2,span=2..3,c=0..3"')
     p.add_argument("--max", type=_positive, default=5000)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--budget", type=_natural)
-    p.set_defaults(func=_cmd_probe)
 
     return parser
 
@@ -371,10 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        grammar_budget()  # --budget unset falls back to ZECKLAB_BUDGET
-    except ValueError as exc:
-        parser.error(str(exc))
+    # a command that enumerates: --budget, else ZECKLAB_BUDGET, else the default
+    if "budget" in vars(args) and args.budget is None:
+        raw = os.environ.get("ZECKLAB_BUDGET") or str(DEFAULT_GRAMMAR_BUDGET)
+        if not (raw.isascii() and raw.isdigit()):
+            parser.error(f"ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")
+        args.budget = int(raw)
     try:
         return args.func(args)
     except RecurrenceError as exc:

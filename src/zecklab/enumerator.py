@@ -12,7 +12,6 @@ They must agree wherever the oracle is allowed to run; tests enforce that.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from itertools import chain
 
@@ -25,14 +24,6 @@ from .sequence import SequenceHandle
 DEFAULT_GRAMMAR_BUDGET = 10**6
 DEFAULT_ORACLE_BOUND = 500
 _STATE_LIMIT = 2_000_000  # memo entries one enumeration may add, guards blowup
-
-
-def grammar_budget() -> int:
-    """Default enumeration budget; ZECKLAB_BUDGET overrides it."""
-    raw = os.environ.get("ZECKLAB_BUDGET") or str(DEFAULT_GRAMMAR_BUDGET)
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 def _heads(handle: SequenceHandle, m: int, cap: int):
@@ -121,26 +112,27 @@ def _generator(handle: SequenceHandle) -> _WordGenerator:
 
 
 def enumerate_legal(
-    handle: SequenceHandle, n_value: int, budget: int | None = None
+    handle: SequenceHandle, n_value: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> set[Decomposition]:
     """Every legal decomposition of ``n_value``, canonicalized and deduplicated."""
     if n_value < 0:
         raise ValueError("value must be >= 0")
-    limit = budget if budget is not None else grammar_budget()
-    if n_value > limit:
-        raise BudgetExceededError(f"value {n_value} exceeds enumeration budget {limit}")
+    if n_value > budget:
+        raise BudgetExceededError(f"value {n_value} exceeds enumeration budget {budget}")
     if n_value == 0:
         return {Decomposition()}
     words = _generator(handle).words(handle.top_index(n_value), n_value)
     return {Decomposition(word) for word in words}
 
 
-def count_legal(handle: SequenceHandle, n_value: int, budget: int | None = None) -> int:
+def count_legal(
+    handle: SequenceHandle, n_value: int, budget: int = DEFAULT_GRAMMAR_BUDGET
+) -> int:
     return len(enumerate_legal(handle, n_value, budget))
 
 
 def naive_oracle(
-    handle: SequenceHandle, n_value: int, bound: int | None = None
+    handle: SequenceHandle, n_value: int, bound: int = DEFAULT_ORACLE_BOUND
 ) -> set[Decomposition]:
     """Brute force every bounded sparse map of the right value, filter by
     the legality verdict.  Small inputs only.
@@ -148,9 +140,8 @@ def naive_oracle(
     All candidates share the value, hence the window alignment; the verdict
     reduces to parsing each candidate's dense word at that one alignment.
     """
-    limit = bound if bound is not None else DEFAULT_ORACLE_BOUND
-    if n_value > limit:
-        raise OracleBoundExceededError(f"value {n_value} exceeds oracle bound {limit}")
+    if n_value > bound:
+        raise OracleBoundExceededError(f"value {n_value} exceeds oracle bound {bound}")
     if n_value < 0:
         raise ValueError("value must be >= 0")
     if n_value == 0:
@@ -232,12 +223,11 @@ def _windows(handle: SequenceHandle, bound: int):
 
 
 def decompositions_up_to(
-    handle: SequenceHandle, bound: int, budget: int | None = None
+    handle: SequenceHandle, bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> dict[int, list[Decomposition]]:
     """All legal decompositions for every value 1..bound, in one grammar sweep."""
-    limit = budget if budget is not None else grammar_budget()
-    if bound > limit:
-        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {limit}")
+    if bound > budget:
+        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     buckets: dict[int, list[Decomposition]] = {}
     for words in _windows(handle, bound):
         for word, val in words:
@@ -246,7 +236,7 @@ def decompositions_up_to(
 
 
 def first_nonunique(
-    handle: SequenceHandle, bound: int, budget: int | None = None
+    handle: SequenceHandle, bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> tuple[int, int] | None:
     """(N, count) for the smallest 1 <= N <= bound with two or more legal
     decompositions, or None.  One sweep searches 1..min(bound, budget) and
@@ -255,14 +245,13 @@ def first_nonunique(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    limit = budget if budget is not None else grammar_budget()
-    for words in _windows(handle, min(bound, limit)):
+    for words in _windows(handle, min(bound, budget)):
         counts = Counter(val for _, val in words)
         hit = min((val for val, k in counts.items() if k >= 2), default=None)
         if hit is not None:
             return hit, counts[hit]
-    if bound > limit:
-        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {limit}")
+    if bound > budget:
+        raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     return None
 
 

@@ -24,7 +24,7 @@ from .errors import (
 from .greedy import greedy_decompose
 from .legality import Decomposition, evaluate, is_legal
 from .recurrence import classify, parse_recurrence
-from .enumerator import enumerate_legal, first_nonunique
+from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, first_nonunique
 from .sequence import SequenceHandle
 
 
@@ -88,11 +88,14 @@ def _merge(parts: dict[int, int], extra: Decomposition) -> Decomposition:
     return Decomposition.from_dict(merged)
 
 
-def construct_counterexample(handle: SequenceHandle) -> CounterexampleReport:
+def construct_counterexample(
+    handle: SequenceHandle, budget: int = DEFAULT_GRAMMAR_BUDGET
+) -> CounterexampleReport:
     """Build the two-decompositions witness for an applicable family.
 
     Raises ConstructionFailedError (with full diagnostics) when no second
-    legal decomposition of the constructed N exists at all.
+    legal decomposition of the constructed N exists at all, and
+    BudgetExceededError when N exceeds ``budget``.
     """
     _require_construction(handle)
     c, s, L = handle.spec.coefficients, handle.spec.depth, handle.spec.order
@@ -124,7 +127,7 @@ def construct_counterexample(handle: SequenceHandle) -> CounterexampleReport:
     diagnostics.update(decompA_legal=a_legal, direct_candidate_legal=b_legal)
     if evaluate(decomp_a, handle) != n_value or evaluate(candidate_b, handle) != n_value:
         raise ConstructionFailedError("constructed sums do not evaluate to N", diagnostics)
-    all_decomps = sorted(enumerate_legal(handle, n_value), key=str)
+    all_decomps = sorted(enumerate_legal(handle, n_value, budget), key=str)
     diagnostics["count_at_n"] = len(all_decomps)
     diagnostics["legal_decompositions"] = [str(d) for d in all_decomps]
     if not a_legal or not window_ok:
@@ -168,7 +171,7 @@ class UniquenessReport:
 
 
 def verify_uniqueness_range(
-    handle: SequenceHandle, bound: int, budget: int | None = None
+    handle: SequenceHandle, bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> UniquenessReport:
     """Scan 1..bound for a value with two legal decompositions."""
     hit = first_nonunique(handle, bound, budget)
@@ -240,15 +243,14 @@ def expand_grid(
 
 
 def probe_family(
-    recurrences: list[str],
-    bound: int,
-    budget: int | None = None,
+    recurrences: list[str], bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> list[ExperimentRecord]:
     """Run the full measurement battery over a list of families.
 
     Per family: classify, scan for the first non-unique value, and, when the
     construction applies, compute the slack and attempt the counterexample.
-    Errors are embedded in the record; the sweep never aborts.
+    A budget overrun or a failed construction becomes the record's status;
+    any other error, such as the constant family's, propagates.
     """
     records: list[ExperimentRecord] = []
     for text in recurrences:
@@ -266,7 +268,7 @@ def probe_family(
             if flags.construction_applies:
                 rec.slack = construction_slack(handle)
                 try:
-                    report = construct_counterexample(handle)
+                    report = construct_counterexample(handle, budget)
                     rec.counterexample_n = report.n_value
                     if not report.direct_pair_legal:
                         rec.note = "second decomposition found by enumeration"

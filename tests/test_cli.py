@@ -104,9 +104,10 @@ def test_scan_finds_lagonacci_pair(capsys):
     assert "N=7" in out and "2 decompositions" in out
 
 
-def test_scan_expect_find_miss_exits_3(capsys):
+@pytest.mark.parametrize("mode", ["nonunique", "unique"])
+def test_scan_expect_find_miss_exits_3(mode, capsys):
     code, out, _ = run(capsys, "scan", "--rec", "1,1", "--max", "50",
-                       "--mode", "nonunique", "--expect-find")
+                       "--mode", mode, "--expect-find")
     assert code == 3
 
 
@@ -164,6 +165,39 @@ def test_probe_writes_csv(tmp_path, capsys):
     assert "0,2,2" in recs and "0,1,1" in recs
 
 
+def probe_rows(capsys, tmp_path, *argv):
+    out_file = tmp_path / "probe.csv"
+    code, _, err = run(capsys, "probe", *argv, "--out", str(out_file))
+    rows = csv.DictReader(out_file.read_text().splitlines())
+    return code, {r["recurrence"]: r for r in rows}, err
+
+
+def test_probe_budget_bounds_the_construction(tmp_path, capsys):
+    # the constructed N of 0,2,1,2 and 0,2,2,2 are 55 and 80
+    grid = ("--grid", "s=1..1,span=3..3,c=0..2", "--max", "100")
+    code, rows, _ = probe_rows(capsys, tmp_path, *grid)
+    assert code == 0
+    assert [(rows[t]["counterexample_N"], rows[t]["status"])
+            for t in ("0,2,1,2", "0,2,2,2")] == [("55", "inconsistent"),
+                                                 ("80", "inconsistent")]
+    code, bounded, _ = probe_rows(capsys, tmp_path, *grid, "--budget", "20")
+    assert code == 0
+    assert {t for t, r in bounded.items() if r["status"] == "budget_exceeded"} == {
+        "0,2,1,2", "0,2,2,2"}
+    assert bounded.keys() == rows.keys()
+
+
+def test_probe_keeps_the_other_rows_when_a_family_raises(tmp_path, capsys):
+    code, rows, err = probe_rows(
+        capsys, tmp_path, "--grid", "s=0..1,span=1..2,c=0..2", "--max", "100")
+    assert code == 4
+    assert "error: family 1: sequence is constant" in err
+    assert "1" not in rows
+    assert list(rows) == ["2", "1,1", "1,2", "2,1", "2,2",
+                          "0,1,1", "0,1,2", "0,2,1", "0,2,2"]
+    assert rows["1,1"]["status"] == "ok"
+
+
 def test_probe_rows_deterministic_modulo_timing(tmp_path, capsys):
     paths = []
     for name in ("a.csv", "b.csv"):
@@ -180,6 +214,43 @@ def test_budget_env_override(monkeypatch, capsys):
     code, _, err = run(capsys, "enumerate", "--rec", "0,2,2", "--n", "50")
     assert code == 5
     assert "budget exceeded" in err
+    enumerate_n = lambda n, *extra: run(
+        capsys, "enumerate", "--rec", "0,2,2", "--n", str(n), *extra)
+    monkeypatch.setenv("ZECKLAB_BUDGET", "123")
+    assert enumerate_n(123)[0] == 0
+    code, _, err = enumerate_n(124)
+    assert code == 5
+    assert err.strip() == "budget exceeded: value 124 exceeds enumeration budget 123"
+    # --budget wins over the variable
+    assert enumerate_n(124, "--budget", "124")[0] == 0
+    monkeypatch.delenv("ZECKLAB_BUDGET")
+    code, _, err = enumerate_n(10**6 + 1)
+    assert code == 5
+    assert err.strip().endswith("exceeds enumeration budget 1000000")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--rec", "1,1", "--count", "3"],
+    ["decompose", "--rec", "0,2,2", "--n", "164"],
+    ["check", "--rec", "0,2,2", "--decomp", "8:2,7:1,5:2"],
+    ["lemma22", "--rec", "0,2,2"],
+])
+def test_commands_that_do_not_enumerate_ignore_the_budget_env(argv, monkeypatch, capsys):
+    monkeypatch.setenv("ZECKLAB_BUDGET", "abc")
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--rec", "1,1", "--max", "50", "--json"],
+    ["lemma22", "--rec", "0,2,2", "--json"],
+])
+def test_json_is_refused_where_it_is_ignored(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,option,value", [
@@ -207,6 +278,9 @@ def test_malformed_option_exits_2(argv, option, value, capsys):
     (["probe", "--out", "/missing/dir/x.csv"],
      "error: argument --out: cannot write '/missing/dir/x.csv': "
      "No such file or directory"),
+    (["probe", "--grid", "spna=2..3"], "error: argument --grid: unknown key: 'spna'"),
+    (["probe", "--grid", "c=2..3"], "error: argument --grid: c must run from 0: '2..3'"),
+    (["probe", "--grid", "s=3..1"], "error: argument --grid: empty range: '3..1'"),
 ])
 def test_unusable_probe_option_exits_2(argv, tail, capsys):
     try:
@@ -220,9 +294,10 @@ def test_unusable_probe_option_exits_2(argv, tail, capsys):
 
 
 def test_malformed_budget_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("ZECKLAB_BUDGET", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--rec", "0,2,2", "--n", "50"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].endswith(
-        "error: ZECKLAB_BUDGET must be a non-negative integer, got 'abc'")
+    for raw in ("abc", "-5", "1e6"):
+        monkeypatch.setenv("ZECKLAB_BUDGET", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--rec", "0,2,2", "--n", "50"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")

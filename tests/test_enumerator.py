@@ -200,22 +200,16 @@ def test_word_memo_is_a_bounded_cache(monkeypatch):
     assert largest <= 2 * limit + 1
 
 
-def test_env_var_budget(monkeypatch, handles):
-    from zecklab.enumerator import grammar_budget
-
-    monkeypatch.setenv("ZECKLAB_BUDGET", "123")
-    assert grammar_budget() == 123
-    monkeypatch.delenv("ZECKLAB_BUDGET")
-    assert grammar_budget() == 10**6
-
-
-def test_malformed_env_var_budget_is_rejected(monkeypatch):
-    from zecklab.enumerator import grammar_budget
-
-    for raw in ("abc", "-5", "1e6"):
+def test_enumerate_legal_ignores_the_env_var(monkeypatch, handles):
+    # the budget is a number the caller passes, default 10**6; only the CLI
+    # reads ZECKLAB_BUDGET
+    h = handles("0,1,1")
+    for raw in ("5", "abc"):
         monkeypatch.setenv("ZECKLAB_BUDGET", raw)
-        with pytest.raises(ValueError, match="ZECKLAB_BUDGET"):
-            grammar_budget()
+        assert as_strs(enumerate_legal(h, 7)) == ["5:1,1:1", "6:1"]
+        assert first_nonunique(h, 100) == (7, 2)
+        with pytest.raises(BudgetExceededError, match="budget 1000000$"):
+            enumerate_legal(h, 10**6 + 1)
 
 
 def test_every_enumerated_decomposition_checks_out(handles):

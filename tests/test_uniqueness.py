@@ -14,7 +14,7 @@ from zecklab import (
     probe_family,
     verify_uniqueness_range,
 )
-from zecklab.errors import ConstructionFailedError, NotApplicableError
+from zecklab.errors import ConstructionFailedError, NonProgressError, NotApplicableError
 
 
 def test_slack_value_for_0_2_2(handles):
@@ -148,3 +148,10 @@ def test_probe_never_aborts_on_errors():
     records = probe_family(["0,2,1,2"], bound=50)
     assert len(records) == 1
     assert records[0].status in {"ok", "inconsistent"}
+
+
+def test_probe_family_raises_for_the_constant_family():
+    # only budget overruns and failed constructions become statuses; the CLI
+    # probes one family at a time and keeps the other rows
+    with pytest.raises(NonProgressError, match="sequence is constant"):
+        probe_family(["1"], bound=50)
