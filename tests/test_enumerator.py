@@ -200,6 +200,39 @@ def test_word_memo_is_a_bounded_cache(monkeypatch):
     assert largest <= 2 * limit + 1
 
 
+def test_env_var_budget(monkeypatch, capsys):
+    # the CLI reads ZECKLAB_BUDGET and passes the number to enumerate_legal
+    from zecklab.cli import main
+
+    def enumerate_n(n, *extra):
+        code = main(["enumerate", "--rec", "0,2,2", "--n", str(n), *extra])
+        return code, capsys.readouterr().err
+
+    monkeypatch.setenv("ZECKLAB_BUDGET", "123")
+    assert enumerate_n(123)[0] == 0
+    code, err = enumerate_n(124)
+    assert code == 5
+    assert err.strip() == "budget exceeded: value 124 exceeds enumeration budget 123"
+    # --budget wins over the variable
+    assert enumerate_n(124, "--budget", "124")[0] == 0
+    monkeypatch.delenv("ZECKLAB_BUDGET")
+    code, err = enumerate_n(10**6 + 1)
+    assert code == 5
+    assert err.strip().endswith("exceeds enumeration budget 1000000")
+
+
+def test_malformed_env_var_budget_is_rejected(monkeypatch, capsys):
+    from zecklab.cli import main
+
+    for raw in ("abc", "-5", "1e6"):
+        monkeypatch.setenv("ZECKLAB_BUDGET", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--rec", "0,2,2", "--n", "50"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")
+
+
 def test_enumerate_legal_ignores_the_env_var(monkeypatch, handles):
     # the budget is a number the caller passes, default 10**6; only the CLI
     # reads ZECKLAB_BUDGET
