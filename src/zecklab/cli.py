@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
-a malformed option or an unwritable --out path, 3 scan exhausted under
---expect-find, 4 internal inconsistency (oracle mismatch or counterexample
-verification failure), 5 enumeration budget or oracle bound exceeded.
+a malformed option, a term index above MAX_INDEX or an unwritable --out path,
+3 scan exhausted under --expect-find, 4 internal inconsistency (oracle
+mismatch or counterexample verification failure), 5 enumeration budget or
+oracle bound exceeded.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_BAD_DECOMP = 2
 EXIT_NOT_FOUND = 3
 EXIT_INCONSISTENT = 4
 EXIT_BUDGET = 5
+MAX_INDEX = 10**4  # the largest term index that seq and check grow the table to
 
 
 def _natural(text: str) -> int:
@@ -59,6 +61,13 @@ def _positive(text: str) -> int:
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return int(text)
+
+
+def _count(text: str) -> int:
+    """argparse type: a term count in 0..MAX_INDEX."""
+    if (count := _natural(text)) > MAX_INDEX:
+        raise argparse.ArgumentTypeError(f"above the cap {MAX_INDEX}: {text!r}")
+    return count
 
 
 def _handle_for(args) -> SequenceHandle:
@@ -131,6 +140,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_check(args) -> int:
     handle = _handle_for(args)
     decomp = parse_decomposition(args.decomp)
+    if decomp.max_index > MAX_INDEX:
+        raise DecompositionTextError(f"index above the cap {MAX_INDEX}")
     value = evaluate(decomp, handle)
     verdict = is_legal(decomp, handle)
     if args.json:
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("seq", _cmd_seq, "print sequence terms")
-    p.add_argument("--count", type=_natural, required=True)
+    p.add_argument("--count", type=_count, required=True)
 
     p = command("decompose", _cmd_decompose, "greedy decomposition of N")
     p.add_argument("--n", type=_natural, required=True)
@@ -376,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)  # read and print integers of any length
     parser = build_parser()
     args = parser.parse_args(argv)
     # a command that enumerates: --budget, else ZECKLAB_BUDGET, else the default

@@ -184,19 +184,24 @@ def _windows(handle: SequenceHandle, bound: int):
     a = 0 at t = s + 1), which makes every legal word of length k <= m - lag
     legal again at length m, lag = s + 1.  Those copies are not built: a word
     above its own length's window is filed once under its value's window j,
-    if its length is at most j - lag, and window j lists it.
+    if its length is at most j - lag, and window j lists it.  A length-m word
+    is stored only if window m lists it, it is filed (worth >= far, the floor
+    of window m + lag) or it can still be a tail (worth <= bound - hi): a
+    non-empty head sits above its tail and holds a positive entry, so >= hi.
     """
     if bound < 1:
         return
     top = handle.top_index(bound)
     lag = None if handle.spec.kind is Kind.PLRR else handle.spec.depth + 1
-    # by_len[k]: the legal length-k words worth <= bound that a non-empty head
-    # derives, mapped to their value; a word derived more than one way is
-    # stored once
+    # by_len[k]: the stored length-k words a non-empty head derives, mapped to value
     by_len: list[dict[tuple[tuple[int, int], ...], int]] = [{(): 0}]
     # above[j]: words filed for window j by the empty head, mapped to value
     above: dict[int, dict[tuple[tuple[int, int], ...], int]] = {}
     for m in range(1, top + 1):
+        lo, hi = handle.window(m)
+        # the floors never decrease, so far <= v is m + lag <= top_index(v)
+        far = handle.window(m + lag)[0] if lag and m + lag <= top else bound + 1
+        cut = bound - hi  # a longer word adds a head worth >= hi to this one
         out: dict[tuple[tuple[int, int], ...], int] = {}
         for head, used, longest in _heads(handle, m, bound):
             if not head:
@@ -204,10 +209,10 @@ def _windows(handle: SequenceHandle, bound: int):
             room = bound - used
             for k in range(longest + 1):
                 for tail, tv in by_len[k].items():
-                    if tv <= room:
-                        out[head + tail] = used + tv
+                    if tv <= room and (lo <= (v := used + tv) < hi
+                                       or v <= cut or v >= far):
+                        out[head + tail] = v
         by_len.append(out)
-        lo, hi = handle.window(m)
         view = ((word, val) for word, val in out.items() if lo <= val < hi)
         if filed := above.pop(m, None):
             # every non-empty head here holds an index above m - lag, and a
@@ -218,8 +223,8 @@ def _windows(handle: SequenceHandle, bound: int):
         # and a caller that stops here skips the work
         if lag is not None:
             for word, val in out.items():
-                if val >= hi and m + lag <= (j := handle.top_index(val)):
-                    above.setdefault(j, {})[word] = val
+                if val >= far:
+                    above.setdefault(handle.top_index(val), {})[word] = val
 
 
 def decompositions_up_to(

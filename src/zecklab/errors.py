@@ -2,7 +2,15 @@
 
 
 class ZecklabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Carries a ``diagnostics`` dict with everything computed so far so the
+    failure can be inspected rather than re-derived.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class RecurrenceError(ZecklabError, ValueError):
@@ -60,12 +68,4 @@ class NotPLRSError(ZecklabError, ValueError):
 
 
 class ConstructionFailedError(ZecklabError, RuntimeError):
-    """Counterexample construction could not be verified end to end.
-
-    Carries a ``diagnostics`` dict with everything computed so far so the
-    failure can be inspected rather than re-derived.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """Counterexample construction could not be verified end to end."""

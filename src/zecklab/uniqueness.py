@@ -95,7 +95,7 @@ def construct_counterexample(
 
     Raises ConstructionFailedError (with full diagnostics) when no second
     legal decomposition of the constructed N exists at all, and
-    BudgetExceededError when N exceeds ``budget``.
+    BudgetExceededError (with the same diagnostics) when N exceeds ``budget``.
     """
     _require_construction(handle)
     c, s, L = handle.spec.coefficients, handle.spec.depth, handle.spec.order
@@ -127,7 +127,10 @@ def construct_counterexample(
     diagnostics.update(decompA_legal=a_legal, direct_candidate_legal=b_legal)
     if evaluate(decomp_a, handle) != n_value or evaluate(candidate_b, handle) != n_value:
         raise ConstructionFailedError("constructed sums do not evaluate to N", diagnostics)
-    all_decomps = sorted(enumerate_legal(handle, n_value, budget), key=str)
+    try:
+        all_decomps = sorted(enumerate_legal(handle, n_value, budget), key=str)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), diagnostics) from None
     diagnostics["count_at_n"] = len(all_decomps)
     diagnostics["legal_decompositions"] = [str(d) for d in all_decomps]
     if not a_legal or not window_ok:
@@ -249,8 +252,9 @@ def probe_family(
 
     Per family: classify, scan for the first non-unique value, and, when the
     construction applies, compute the slack and attempt the counterexample.
-    A budget overrun or a failed construction becomes the record's status;
-    any other error, such as the constant family's, propagates.
+    A budget overrun or a failed construction becomes the record's status,
+    and keeps the constructed N if it got that far; any other error, such
+    as the constant family's, propagates.
     """
     records: list[ExperimentRecord] = []
     for text in recurrences:
@@ -267,19 +271,14 @@ def probe_family(
                 rec.first_nonunique_n, rec.count_at_n = hit
             if flags.construction_applies:
                 rec.slack = construction_slack(handle)
-                try:
-                    report = construct_counterexample(handle, budget)
-                    rec.counterexample_n = report.n_value
-                    if not report.direct_pair_legal:
-                        rec.note = "second decomposition found by enumeration"
-                except ConstructionFailedError as exc:
-                    rec.status = "inconsistent"
-                    rec.note = str(exc)
-                    n = exc.diagnostics.get("n_value")
-                    if n is not None:
-                        rec.counterexample_n = n
-        except BudgetExceededError as exc:
-            rec.status = "budget_exceeded"
+                report = construct_counterexample(handle, budget)
+                rec.counterexample_n = report.n_value
+                if not report.direct_pair_legal:
+                    rec.note = "second decomposition found by enumeration"
+        except (BudgetExceededError, ConstructionFailedError) as exc:
+            rec.counterexample_n = exc.diagnostics.get("n_value")
+            rec.status = ("budget_exceeded" if isinstance(exc, BudgetExceededError)
+                          else "inconsistent")
             rec.note = str(exc)
         rec.elapsed_ms = int((time.perf_counter() - started) * 1000)
         records.append(rec)

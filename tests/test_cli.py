@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from zecklab.cli import main
+from zecklab.cli import MAX_INDEX, main
+from zecklab.sequence import SequenceHandle
 
 
 def run(capsys, *argv):
@@ -184,6 +185,9 @@ def test_probe_budget_bounds_the_construction(tmp_path, capsys):
     assert code == 0
     assert {t for t, r in bounded.items() if r["status"] == "budget_exceeded"} == {
         "0,2,1,2", "0,2,2,2"}
+    # the overrun rows still name the constructed N
+    assert [bounded[t]["counterexample_N"] for t in ("0,2,1,2", "0,2,2,2")] == [
+        "55", "80"]
     assert bounded.keys() == rows.keys()
 
 
@@ -287,3 +291,35 @@ def test_malformed_budget_env_exits_2(monkeypatch, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "error: ZECKLAB_BUDGET must be a non-negative integer, got 'abc'")
+
+
+def test_integers_past_4300_digits_print_in_full(capsys):
+    # G_500 of 10^9 is 10^4491, G_5000 of 9,9 has 4979 digits
+    code, out, _ = run(capsys, "seq", "--rec", "1000000000", "--count", "500")
+    assert code == 0
+    assert out.split()[-1] == "1" + "0" * 4491
+    code, out, _ = run(capsys, "check", "--rec", "9,9", "--decomp", "5000:1", "--json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert len(value) > 4300 and int(value) == SequenceHandle.from_text("9,9").term(5000)
+
+
+@pytest.mark.parametrize("argv,tail", [
+    (["seq", "--rec", "0,2,2", "--count", str(MAX_INDEX + 1)],
+     f"error: argument --count: above the cap {MAX_INDEX}: '{MAX_INDEX + 1}'"),
+    (["check", "--rec", "0,2,2", "--decomp", "99999999999999999999:1"],
+     f"invalid decomposition: index above the cap {MAX_INDEX}"),
+])
+def test_term_index_above_the_cap_exits_2_without_growing_the_table(
+        argv, tail, monkeypatch, capsys):
+    def grow(self):
+        raise AssertionError("the term table grew")
+    monkeypatch.setattr(SequenceHandle, "_grow", grow)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(tail)
