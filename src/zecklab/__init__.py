@@ -31,7 +31,6 @@ from .enumerator import (
     DEFAULT_GRAMMAR_BUDGET,
     DEFAULT_ORACLE_BOUND,
     bijection_count,
-    count_legal,
     decompositions_up_to,
     enumerate_legal,
     first_nonunique,
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_GRAMMAR_BUDGET",
     "DEFAULT_ORACLE_BOUND",
     "bijection_count",
-    "count_legal",
     "decompositions_up_to",
     "enumerate_legal",
     "first_nonunique",

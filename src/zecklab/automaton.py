@@ -115,9 +115,11 @@ def compile_automaton(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reverse_automaton(spec: RecurrenceSpec):
-    """(moves, delta, live): ``moves[q][d]`` is the NFA move set; ``delta``
+    """(moves, delta, live, step): ``moves[q][d]`` is the NFA move set; ``delta``
     reads a suffix backwards from the accepting NFA states into a state r, and
-    ``live[r]`` holds the NFA states from which that suffix is accepted."""
+    ``live[r]`` holds the NFA states from which that suffix is accepted.
+    ``step[q][r][d]`` memoises the derivation walk's move from q on d when the
+    rest of the word is in r, as met: a dense table would grow with max(c)."""
     digits = range(max(spec.max_coefficient, 1) + 1)
     states = range(_UNIT + spec.order)
     moves = tuple(tuple(frozenset(_nfa_moves(spec, q, d)) for d in digits)
@@ -126,13 +128,13 @@ def _reverse_automaton(spec: RecurrenceSpec):
         frozenset(q for q in states if _nfa_accepting(spec, q)),
         lambda subset, d: frozenset(q for q in states if moves[q][d] & subset),
         digits)
-    return moves, delta, live
+    return moves, delta, live, [[{} for _ in live] for _ in states]
 
 
 def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] | None:
     """The derivation of a legal word, or None if it has none."""
     word = list(word)
-    moves, delta, live = _reverse_automaton(spec)
+    moves, delta, live, step = _reverse_automaton(spec)
     cap = len(delta[0]) - 1
     r = 0
     suffix = [r]
@@ -146,10 +148,14 @@ def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] |
     steps = []  # (condition, start, t, coefficient), gaps filled in below
     q = tail = _START  # tail: 0-based position where the current suffix opened
     for j, d in enumerate(word):
-        nxt = moves[q][d] & live[suffix[j + 1]]
-        if q == _GAP and d == 0 and _GAP in nxt:
-            continue  # the widest gap: extend it while a legal tail follows
-        (to,) = nxt  # every other live move is the only one
+        memo = step[q][suffix[j + 1]]
+        if (to := memo.get(d)) is None:
+            nxt = moves[q][d] & live[suffix[j + 1]]
+            # extend the gap while a legal tail follows, else the one live move
+            (to,) = {_GAP} if q == _GAP and d == 0 and _GAP in nxt else nxt
+            memo[d] = to
+        if d == 0 and to == q == _GAP:
+            continue
         if q <= _GAP:  # START or GAP: the next suffix opens at j
             tail = j
         if to == _UNIT and q != _UNIT:

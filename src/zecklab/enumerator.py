@@ -125,12 +125,6 @@ def enumerate_legal(
     return {Decomposition(word) for word in words}
 
 
-def count_legal(
-    handle: SequenceHandle, n_value: int, budget: int = DEFAULT_GRAMMAR_BUDGET
-) -> int:
-    return len(enumerate_legal(handle, n_value, budget))
-
-
 def naive_oracle(
     handle: SequenceHandle, n_value: int, bound: int = DEFAULT_ORACLE_BOUND
 ) -> set[Decomposition]:

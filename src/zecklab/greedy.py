@@ -13,6 +13,7 @@ grammar rejects the leading zeros.  Otherwise the block step runs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import NonProgressError
@@ -49,61 +50,60 @@ def greedy_decompose(
         raise ValueError("target must be >= 0")
     spec = handle.spec
     c, s, L = spec.coefficients, spec.depth, spec.order
+    # every remainder is <= n_value, so one extension covers every lookup
+    terms, floors, index_of_value = handle.tables(n_value)
     out: dict[int, int] = {}
-    log = GreedyTrace(target=n_value)
-    if n_value > 0:
-        handle.extend_until_exceeds(n_value)
+    steps: list[BlockStep] | None = [] if trace else None
     remainder = n_value
     prev_stop: int | None = None
     while remainder > 0:
-        exact = handle.index_of_value(remainder)
+        exact = index_of_value.get(remainder)
         if exact is not None and prev_stop is not None and exact >= prev_stop:
             # a duplicated value may also sit below the stop index
             exact = next((j for j in range(prev_stop - 1, 0, -1)
-                          if handle.term(j) == remainder), None)
+                          if terms[j - 1] == remainder), None)
         elif exact is not None and prev_stop is None:
             # the target's own word: a term value below its window top leaves
             # leading zeros that the grammar may not absorb
-            top = handle.top_index(remainder)
+            top = bisect_right(floors, remainder)
             if exact != top and not word_is_legal(
                     Decomposition(((exact, 1),)).dense(top), spec):
                 exact = None
         if exact is not None:
             assert exact not in out
             out[exact] = 1
-            log.steps.append(BlockStep(kind="unit", anchor=exact, remainder=0))
+            if steps is not None:
+                steps.append(BlockStep(kind="unit", anchor=exact, remainder=0))
             break
-        anchor = handle.top_index(remainder)
+        anchor = bisect_right(floors, remainder)
         if prev_stop is not None and anchor >= prev_stop:
             raise NonProgressError(
                 f"window {anchor} of remainder {remainder} did not drop below "
                 f"stop index {prev_stop}"
             )
-        takes: list[tuple[int, int, int]] = []
-        stopped = False
-        for i in range(s + 1, L + 1):
+        taken = len(out)
+        for i in range(s + 1, min(L, anchor) + 1):  # indices j = anchor+1-i >= 1
             j = anchor + 1 - i
-            if j < 1:
-                break
-            g = handle.term(j)
+            g = terms[j - 1]
             copies = min(remainder // g, c[i - 1])
             if copies:
                 assert j not in out
                 out[j] = copies
                 remainder -= copies * g
-                takes.append((j, copies, g))
             if copies < c[i - 1]:
                 prev_stop = j
-                stopped = True
                 break
-        if not stopped:
+        else:
             # every position took its full cap: only possible when the walk
             # ran out of indices below the anchor, with nothing left over
             if remainder != 0:
                 raise NonProgressError(
                     f"block at anchor {anchor} consumed all positions but left {remainder}"
                 )
-        log.steps.append(BlockStep(kind="block", anchor=anchor,
-                                   takes=tuple(takes), remainder=remainder))
-    result = Decomposition.from_dict(out)
-    return (result, log) if trace else result
+        if steps is not None:
+            takes = tuple((j, m, terms[j - 1]) for j, m in list(out.items())[taken:])
+            steps.append(BlockStep(kind="block", anchor=anchor,
+                                   takes=takes, remainder=remainder))
+    # every multiplicity is positive and every index >= 1
+    result = Decomposition(tuple(sorted(out.items(), reverse=True)))
+    return (result, GreedyTrace(target=n_value, steps=steps)) if trace else result

@@ -124,7 +124,8 @@ def canonicalize(vector: list[int] | tuple[int, ...], alignment: int) -> Decompo
 
 def evaluate(d: Decomposition, handle: SequenceHandle) -> int:
     """Value of the decomposition: sum of multiplicity * term."""
-    return sum(mult * handle.term(idx) for idx, mult in d.summands)
+    terms = handle.terms(d.max_index)
+    return sum(mult * terms[idx - 1] for idx, mult in d.summands)
 
 
 @dataclass(frozen=True)

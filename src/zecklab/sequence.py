@@ -7,11 +7,15 @@ the Lagonacci family); later terms follow the recurrence exactly.
 The term cache is append-only and grows on read (``term``, ``window`` and
 ``top_index`` extend it), and ``enumerate_legal`` attaches a memo to the
 handle: a handle is not thread-safe, so use one handle per thread.
+``tables(bound)`` returns the handle's own term list, window floors and
+value->index map for loops that would call ``term``/``top_index`` per step:
+read-only views, which the handle grows and a caller must never write.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 
 from .errors import NonProgressError
 from .recurrence import Kind, RecurrenceSpec, parse_recurrence
@@ -114,6 +118,13 @@ class SequenceHandle:
         while self._floors[-1] <= bound:  # the minimum of the last ``order`` terms
             self._grow()
         return len(self._terms)
+
+    def tables(self, bound: int) -> tuple[Sequence[int], Sequence[int], Mapping[int, int]]:
+        """(terms, floors, index_of_value) after ``extend_until_exceeds(bound)``:
+        G_n = terms[n - 1]; for 1 <= v <= bound, ``top_index(v)`` is
+        ``bisect_right(floors, v)`` and ``index_of_value(v)`` is ``.get(v)``."""
+        self.extend_until_exceeds(bound)
+        return self._terms, self._floors, self._index_of_value
 
     def top_index(self, n_value: int) -> int:
         """Largest index t with G_t <= value; ties resolve to the later index."""

@@ -17,7 +17,6 @@ from zecklab import (
     classify,
     construct_counterexample,
     construction_slack,
-    count_legal,
     decompositions_up_to,
     enumerate_legal,
     evaluate,

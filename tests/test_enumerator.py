@@ -6,7 +6,6 @@ from zecklab import (
     Decomposition,
     SequenceHandle,
     bijection_count,
-    count_legal,
     decompositions_up_to,
     enumerate_legal,
     expand_grid,
@@ -27,7 +26,7 @@ def as_strs(decomps):
 def test_lagonacci_seven(handles):
     found = enumerate_legal(handles("0,1,1"), 7)
     assert as_strs(found) == ["5:1,1:1", "6:1"]
-    assert count_legal(handles("0,1,1"), 7) == 2
+    assert len(enumerate_legal(handles("0,1,1"), 7)) == 2
 
 
 def test_fibonacci_hundred(handles):
@@ -39,7 +38,7 @@ def test_zero_has_the_empty_decomposition(handles):
     for text in ORACLE_POOL:
         assert enumerate_legal(handles(text), 0) == {Decomposition()}
         assert naive_oracle(handles(text), 0) == {Decomposition()}
-        assert count_legal(handles(text), 0) == 1
+        assert len(enumerate_legal(handles(text), 0)) == 1
 
 
 def test_one_is_the_first_term(handles):

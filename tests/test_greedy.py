@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,3 +139,28 @@ def test_greedy_is_total_legal_and_replays_on_the_grid(handles, text, n):
     assert verdict.legal, (text, n, str(d))
     word = replay_derivation(verdict.blocks, verdict.alignment, h.spec)
     assert word == d.dense(verdict.alignment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRID), st.integers(0, 10**50))
+def test_traced_and_untraced_runs_agree_on_the_grid(handles, text, n):
+    # one loop serves both runs: the trace must not change the result, and
+    # its steps must account for every summand
+    h = handles(text)
+    try:
+        d = greedy_decompose(h, n)
+    except NonProgressError as exc:
+        with pytest.raises(NonProgressError, match=re.escape(str(exc))):
+            greedy_decompose(h, n, trace=True)
+        return
+    traced, trace = greedy_decompose(h, n, trace=True)
+    assert traced == d and trace.target == n
+    summands = {}
+    for step in trace.steps:
+        if step.kind == "unit":
+            summands[step.anchor] = 1
+        for j, copies, g in step.takes:
+            assert g == h.term(j)
+            summands[j] = copies
+    assert sum(m * h.term(j) for j, m in summands.items()) == n
+    assert Decomposition.from_dict(summands) == d

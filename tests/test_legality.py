@@ -11,6 +11,7 @@ from zecklab import (
     canonicalize,
     evaluate,
     expand_grid,
+    greedy_decompose,
     is_legal,
     parse_decomposition,
     parse_recurrence,
@@ -19,6 +20,7 @@ from zecklab import (
     word_derivation,
     word_is_legal,
 )
+from zecklab.automaton import _reverse_automaton
 from zecklab.errors import AlignmentTooSmallError, DecompositionTextError
 
 POOL = ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "3,2,4", "1,1", "0,0,2,3"]
@@ -248,6 +250,39 @@ def test_automaton_matches_recognizer_on_long_random_words(text, data):
     expected = reference_derivation(word, spec)
     assert word_derivation(word, spec) == expected
     assert word_is_legal(word, spec) == (expected is not None)
+
+
+# large coefficients: digits near 0, 1 and c decide the moves, so draw those
+# often; a dense digit table would hold states x 1001 x reverse states moves
+LARGE = ["0,1000,1000", "1000,1"]
+LARGE_DIGITS = st.one_of(st.sampled_from([0, 0, 0, 1, 2, 998, 999, 1000, 1001]),
+                         st.integers(-1, 1001))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(LARGE), st.lists(LARGE_DIGITS, max_size=40))
+def test_automaton_matches_recognizer_on_large_coefficients(text, word):
+    spec = parse_recurrence(text)
+    expected = reference_derivation(word, spec)
+    assert word_derivation(word, spec) == expected
+    assert word_is_legal(word, spec) == (expected is not None)
+
+
+def test_derivation_memo_holds_only_the_moves_words_visit(handles):
+    spec = parse_recurrence("0,1000,1000")
+    _reverse_automaton.cache_clear()
+    h = handles("0,1000,1000")
+    words = [[0, 999, 0, 0, 0, 1000, 7, 0, 1, 0], [0, 1000], [1, 0, 0]]
+    words += [greedy_decompose(h, n).dense(h.top_index(n)) for n in (10**6, 3 * 10**9 + 5)]
+    for word in words:
+        blocks = word_derivation(word, spec)
+        assert blocks is not None and blocks == reference_derivation(word, spec)
+    memo = _reverse_automaton(spec)[3]
+    digits = [d for row in memo for moves in row for d in moves]
+    # one (q, d, r) triple per position of a word at most, each on a digit
+    # some word holds
+    assert 0 < len(digits) <= sum(map(len, words))
+    assert set(digits) <= {d for word in words for d in word}
 
 
 @settings(max_examples=400, deadline=None)
