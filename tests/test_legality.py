@@ -269,9 +269,9 @@ def test_automaton_matches_recognizer_on_large_coefficients(text, word):
 
 
 def test_derivation_memo_holds_only_the_moves_words_visit(handles):
-    spec = parse_recurrence("0,1000,1000")
-    _reverse_automaton.cache_clear()
     h = handles("0,1000,1000")
+    spec = h.spec
+    _reverse_automaton.cache_clear()
     words = [[0, 999, 0, 0, 0, 1000, 7, 0, 1, 0], [0, 1000], [1, 0, 0]]
     words += [greedy_decompose(h, n).dense(h.top_index(n)) for n in (10**6, 3 * 10**9 + 5)]
     for word in words:
