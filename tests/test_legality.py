@@ -253,19 +253,22 @@ def test_automaton_matches_recognizer_on_long_random_words(text, data):
 
 
 # large coefficients: digits near 0, 1 and c decide the moves, so draw those
-# often; a dense digit table would hold states x 1001 x reverse states moves
+# often; a dense digit table would hold states x 1001 x reverse states moves.
+# Random words seldom need the reverse state to pick a move, so each example
+# also checks a greedy word, which is legal and long.
 LARGE = ["0,1000,1000", "1000,1"]
 LARGE_DIGITS = st.one_of(st.sampled_from([0, 0, 0, 1, 2, 998, 999, 1000, 1001]),
                          st.integers(-1, 1001))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(LARGE), st.lists(LARGE_DIGITS, max_size=40))
-def test_automaton_matches_recognizer_on_large_coefficients(text, word):
-    spec = parse_recurrence(text)
-    expected = reference_derivation(word, spec)
-    assert word_derivation(word, spec) == expected
-    assert word_is_legal(word, spec) == (expected is not None)
+@given(st.sampled_from(LARGE), st.lists(LARGE_DIGITS, max_size=40), st.integers(1, 10**40))
+def test_automaton_matches_recognizer_on_large_coefficients(handles, text, word, n):
+    h = handles(text)
+    for w in (word, greedy_decompose(h, n).dense(h.top_index(n))):
+        expected = reference_derivation(w, h.spec)
+        assert word_derivation(w, h.spec) == expected
+        assert word_is_legal(w, h.spec) == (expected is not None)
 
 
 def test_derivation_memo_holds_only_the_moves_words_visit(handles):
