@@ -22,16 +22,21 @@ carry c_t = 0, so no digit closes a block there.
 words gives the live NFA states before each suffix, and a forward walk takes
 the one live move per digit, extending a gap while a legal tail still follows.
 The tests pin both to a recursive recognizer that transcribes the rules.
+
+Both builders are plain functions of the spec; each ``SequenceHandle`` builds
+its automata on first use and holds them, the derivation memo included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .recurrence import Kind, RecurrenceSpec
 
-_CACHE_SIZE = 256  # families kept compiled; a grid sweep must not keep all ~2000
+if TYPE_CHECKING:
+    from .sequence import SequenceHandle
+
 _START, _GAP, _UNIT = 0, 1, 2  # MATCH_i is state _UNIT + i
 DEAD = -1
 
@@ -94,7 +99,6 @@ def _determinise(start: frozenset[int], step, digits: range):
     return tuple(rows), subsets
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def compile_automaton(
     spec: RecurrenceSpec,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
@@ -113,8 +117,7 @@ def compile_automaton(
     return delta, accepting
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _reverse_automaton(spec: RecurrenceSpec):
+def compile_reverse_automaton(spec: RecurrenceSpec):
     """(moves, delta, live, step): ``moves[q][d]`` is the NFA move set; ``delta``
     reads a suffix backwards from the accepting NFA states into a state r, and
     ``live[r]`` holds the NFA states from which that suffix is accepted.
@@ -131,10 +134,10 @@ def _reverse_automaton(spec: RecurrenceSpec):
     return moves, delta, live, [[{} for _ in live] for _ in states]
 
 
-def word_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, ...] | None:
+def word_derivation(word, handle: SequenceHandle) -> tuple[DerivationBlock, ...] | None:
     """The derivation of a legal word, or None if it has none."""
     word = list(word)
-    moves, delta, live, step = _reverse_automaton(spec)
+    moves, delta, live, step = handle.reverse_automaton
     cap = len(delta[0]) - 1
     r = 0
     suffix = [r]

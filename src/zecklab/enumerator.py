@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .automaton import DEAD, compile_automaton
+from .automaton import DEAD
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 from .legality import Decomposition, canonicalize, word_is_legal
 from .recurrence import Kind
@@ -141,9 +141,8 @@ def naive_oracle(
     if n_value == 0:
         return {Decomposition()}
     top = handle.top_index(n_value)
-    spec = handle.spec
     # coefficients of legal words never exceed max(c, 1)
-    cap = max(spec.max_coefficient, 1)
+    cap = max(handle.spec.max_coefficient, 1)
     terms = [handle.term(i) for i in range(1, top + 1)]
     max_below = [cap * handle.term_sum(i) for i in range(top + 1)]
     out: set[Decomposition] = set()
@@ -153,7 +152,7 @@ def naive_oracle(
         if rest == 0:
             for pos in range(top - idx, top):
                 word[pos] = 0
-            if word_is_legal(word, spec):
+            if word_is_legal(word, handle):
                 out.add(canonicalize(word, top))
             return
         if idx == 0 or rest > max_below[idx]:
@@ -266,7 +265,7 @@ def bijection_count(handle: SequenceHandle, n: int) -> tuple[int, int]:
         raise NotPLRSError("alignment census requires a depth-0 recurrence")
     if n < 1:
         raise ValueError("alignment must be >= 1")
-    delta, accepting = compile_automaton(handle.spec)
+    delta, accepting = handle.automaton
     paths = [1] + [0] * (len(delta) - 1)  # paths[q]: words read so far ending in q
     for _ in range(n):
         nxt = [0] * len(delta)

@@ -67,7 +67,7 @@ def greedy_decompose(
             # leading zeros that the grammar may not absorb
             top = bisect_right(floors, remainder)
             if exact != top and not word_is_legal(
-                    Decomposition(((exact, 1),)).dense(top), spec):
+                    Decomposition(((exact, 1),)).dense(top), handle):
                 exact = None
         if exact is not None:
             assert exact not in out

@@ -17,8 +17,9 @@ The empty decomposition is legal (it represents 0).  Every entry of a legal
 word lies in 0..max(c, 1); a negative entry is never legal.
 
 ``word_is_legal`` decides the grammar with the automaton that ``automaton``
-compiles from these rules: one left-to-right scan per word.
-``word_derivation`` reads the derivation of a legal word off the same NFA.
+compiles from these rules, and that the handle builds once and holds: one
+left-to-right scan per word.  ``word_derivation`` reads the derivation of a
+legal word off the same NFA, through the handle's reversed automaton.
 ``is_legal`` runs the scan first and asks for a derivation only when the word
 is legal; for an illegal word its reason says where the scan rejected it.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import DEAD, DerivationBlock, compile_automaton, word_derivation
+from .automaton import DEAD, DerivationBlock, word_derivation
 from .errors import AlignmentTooSmallError, DecompositionTextError
 from .recurrence import RecurrenceSpec
 from .sequence import SequenceHandle
@@ -136,11 +137,11 @@ class LegalityVerdict:
     reason: str | None = None
 
 
-def _scan(word, spec: RecurrenceSpec) -> int:
-    """Where one scan of the spec's automaton rejects the word: the 1-based
+def _scan(word, handle: SequenceHandle) -> int:
+    """Where one scan of the handle's automaton rejects the word: the 1-based
     position of the digit that takes it to DEAD, len(word) + 1 if it ends in a
     non-accepting state, or 0 if it accepts."""
-    delta, accepting = compile_automaton(spec)
+    delta, accepting = handle.automaton
     cap = len(delta[0]) - 1
     state = n = 0
     for d in word:
@@ -150,10 +151,10 @@ def _scan(word, spec: RecurrenceSpec) -> int:
     return 0 if accepting[state] else n + 1
 
 
-def word_is_legal(word, spec: RecurrenceSpec) -> bool:
+def word_is_legal(word, handle: SequenceHandle) -> bool:
     """Decide the grammar on a dense coefficient word (value-blind).  An entry
     outside 0..max(c, 1) rejects the word."""
-    return not _scan(word, spec)
+    return not _scan(word, handle)
 
 
 def replay_derivation(
@@ -195,10 +196,9 @@ def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
         return LegalityVerdict(legal=True, alignment=0, blocks=())
     m = window_alignment(d, handle)
     word = d.dense(m)
-    spec = handle.spec
-    at = _scan(word, spec)
+    at = _scan(word, handle)
     if not at:
-        blocks = word_derivation(word, spec)
+        blocks = word_derivation(word, handle)
         return LegalityVerdict(legal=True, alignment=m, blocks=blocks)
     where = (f"the automaton dies at position {at} on digit {word[at - 1]}" if at <= m
              else "the word ends in a non-accepting automaton state")

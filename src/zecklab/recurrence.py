@@ -44,12 +44,6 @@ class RecurrenceSpec:
     kind: Kind
     support: frozenset[int]
 
-    def __hash__(self) -> int:
-        # every other field derives from the coefficients, so this agrees with
-        # ==; word_is_legal hashes the spec on every call (the automaton cache
-        # key), and hashing every field costs twice as much (Kind hashes in Python)
-        return hash(self.coefficients)
-
     @property
     def text(self) -> str:
         return ",".join(str(c) for c in self.coefficients)
@@ -80,15 +74,10 @@ class UniquenessFlags:
         positive, last coefficient > 1).
     lead_exceeds_depth: deep family with lead > depth; conjectured to lose
         uniqueness somewhere.
-    conjectured_unique_c: set to c when the vector is exactly (0,0,1,c);
-        that family is conjectured unique for c >= 4.
-    lagonacci: the one family with bespoke initial terms 1, 2, 4, 3.
     """
 
     construction_applies: bool
     lead_exceeds_depth: bool
-    conjectured_unique_c: int | None
-    lagonacci: bool
 
 
 def parse_recurrence(text: str) -> RecurrenceSpec:
@@ -136,10 +125,7 @@ def classify(spec: RecurrenceSpec) -> UniquenessFlags:
     construction = (
         lead_exceeds and L >= s + 2 and c[s + 1] > 0 and c[L - 1] > 1
     )
-    shape_c = c[3] if len(c) == 4 and c[:3] == (0, 0, 1) else None
     return UniquenessFlags(
         construction_applies=construction,
         lead_exceeds_depth=lead_exceeds,
-        conjectured_unique_c=shape_c,
-        lagonacci=spec.is_lagonacci,
     )

@@ -4,19 +4,23 @@ Terms are 1-indexed arbitrary-precision integers.  The first ``order`` terms
 come from the initial-condition rules (plus the special 1,2,4,3 prefix for
 the Lagonacci family); later terms follow the recurrence exactly.
 
-The term cache is append-only and grows on read (``term``, ``window`` and
-``top_index`` extend it), and ``enumerate_legal`` attaches a memo to the
-handle: a handle is not thread-safe, so use one handle per thread.
+The handle owns all per-family state and shares none with other handles:
+the term cache, append-only and grown on read (``term``, ``window`` and
+``top_index`` extend it); the memo ``enumerate_legal`` attaches; and the
+legality automata, built on first use, the reversed one with the derivation
+walk's memo.  A handle is not thread-safe, so use one handle per thread.
 ``tables(bound)`` returns the handle's own term list, window floors and
-value->index map for loops that would call ``term``/``top_index`` per step:
-read-only views, which the handle grows and a caller must never write.
+value->index map for loops that would call ``term``/``top_index`` per step.
+Those views and both automata are read-only: a caller must never write them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 
+from .automaton import compile_automaton, compile_reverse_automaton
 from .errors import NonProgressError
 from .recurrence import Kind, RecurrenceSpec, parse_recurrence
 
@@ -46,7 +50,6 @@ class SequenceHandle:
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
         self._terms: list[int] = _prescribed_terms(spec)
-        self._prefix_len = len(self._terms)
         # largest index seen for each value; duplicates resolve upward
         self._index_of_value: dict[int, int] = {}
         self._duplicate_values = False
@@ -68,10 +71,6 @@ class SequenceHandle:
     @classmethod
     def from_text(cls, text: str) -> "SequenceHandle":
         return cls(parse_recurrence(text))
-
-    @property
-    def prescribed_length(self) -> int:
-        return self._prefix_len
 
     @property
     def has_duplicate_values(self) -> bool:
@@ -125,6 +124,16 @@ class SequenceHandle:
         ``bisect_right(floors, v)`` and ``index_of_value(v)`` is ``.get(v)``."""
         self.extend_until_exceeds(bound)
         return self._terms, self._floors, self._index_of_value
+
+    @cached_property
+    def automaton(self):
+        """``compile_automaton(spec)``, built on first use; read-only."""
+        return compile_automaton(self.spec)
+
+    @cached_property
+    def reverse_automaton(self):
+        """``compile_reverse_automaton(spec)``, built on first use; read-only."""
+        return compile_reverse_automaton(self.spec)
 
     def top_index(self, n_value: int) -> int:
         """Largest index t with G_t <= value; ties resolve to the later index."""

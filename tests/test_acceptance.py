@@ -67,12 +67,12 @@ def test_criterion_02_lagonacci_reproduction(handles):
     assert ok
 
 
-def test_criterion_03_legality_triplet():
-    spec = parse_recurrence("3,2,4")
+def test_criterion_03_legality_triplet(handles):
+    h = handles("3,2,4")
     results = (
-        word_is_legal((1, 3, 2, 3, 0), spec),
-        word_is_legal((1, 3, 2, 4, 0), spec),
-        word_is_legal((6, 2), spec),
+        word_is_legal((1, 3, 2, 3, 0), h),
+        word_is_legal((1, 3, 2, 4, 0), h),
+        word_is_legal((6, 2), h),
     )
     ok = results == (True, False, False)
     report(3, ok, f"verdicts = {results}")

@@ -8,19 +8,18 @@ from zecklab import (
     DerivationBlock,
     Kind,
     RecurrenceSpec,
+    SequenceHandle,
     canonicalize,
     evaluate,
     expand_grid,
     greedy_decompose,
     is_legal,
     parse_decomposition,
-    parse_recurrence,
     replay_derivation,
     window_alignment,
     word_derivation,
     word_is_legal,
 )
-from zecklab.automaton import _reverse_automaton
 from zecklab.errors import AlignmentTooSmallError, DecompositionTextError
 
 POOL = ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "3,2,4", "1,1", "0,0,2,3"]
@@ -187,31 +186,31 @@ def test_dense_round_trip():
 
 # --- word grammar -----------------------------------------------------------
 
-def test_word_triplet_on_3_2_4():
-    spec = parse_recurrence("3,2,4")
-    assert word_is_legal((1, 3, 2, 3, 0), spec)
-    assert not word_is_legal((1, 3, 2, 4, 0), spec)
-    assert not word_is_legal((6, 2), spec)
+def test_word_triplet_on_3_2_4(handles):
+    h = handles("3,2,4")
+    assert word_is_legal((1, 3, 2, 3, 0), h)
+    assert not word_is_legal((1, 3, 2, 4, 0), h)
+    assert not word_is_legal((6, 2), h)
 
 
-def test_classic_zeckendorf_words_exhaustive():
+def test_classic_zeckendorf_words_exhaustive(handles):
     # on 1,1 the legal words are exactly: leading 1, all entries <= 1,
     # no two adjacent nonzero entries
-    spec = parse_recurrence("1,1")
+    h = handles("1,1")
     for m in range(1, 13):
         for word in itertools.product((0, 1), repeat=m):
             expected = word[0] == 1 and all(
                 not (word[i] and word[i + 1]) for i in range(m - 1)
             )
-            assert word_is_legal(word, spec) == expected, word
+            assert word_is_legal(word, h) == expected, word
 
 
-def test_words_with_oversized_entries_are_illegal():
-    spec = parse_recurrence("1,1")
+def test_words_with_oversized_entries_are_illegal(handles):
+    h = handles("1,1")
     for m in range(1, 9):
         for word in itertools.product((0, 1, 2), repeat=m):
             if max(word) > 1:
-                assert not word_is_legal(word, spec)
+                assert not word_is_legal(word, h)
 
 
 @pytest.mark.parametrize("word,text", [
@@ -220,10 +219,10 @@ def test_words_with_oversized_entries_are_illegal():
     ((0, -3), "0,2,2"),
     ((-5,), "3,2,4"),
 ])
-def test_words_with_negative_entries_are_illegal(word, text):
-    spec = parse_recurrence(text)
-    assert not word_is_legal(word, spec)
-    assert word_derivation(word, spec) is None
+def test_words_with_negative_entries_are_illegal(word, text, handles):
+    h = handles(text)
+    assert not word_is_legal(word, h)
+    assert word_derivation(word, h) is None
 
 
 def test_automaton_matches_recognizer_on_the_grid_exhaustively():
@@ -232,24 +231,25 @@ def test_automaton_matches_recognizer_on_the_grid_exhaustively():
     # compared whole
     assert len(GRID) == 1940
     for text in GRID:
-        spec = parse_recurrence(text)
+        h = SequenceHandle.from_text(text)
+        spec = h.spec
         digits = range(max(spec.max_coefficient, 1) + 2)
         for m in range(5):
             for word in itertools.product(digits, repeat=m):
                 expected = reference_derivation(word, spec)
-                assert word_derivation(word, spec) == expected, (text, word)
-                assert word_is_legal(word, spec) == (expected is not None), (text, word)
+                assert word_derivation(word, h) == expected, (text, word)
+                assert word_is_legal(word, h) == (expected is not None), (text, word)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(GRID), st.data())
-def test_automaton_matches_recognizer_on_long_random_words(text, data):
-    spec = parse_recurrence(text)
-    cap = max(spec.max_coefficient, 1)
+def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
+    h = handles(text)
+    cap = max(h.spec.max_coefficient, 1)
     word = data.draw(st.lists(st.integers(-1, cap + 1), max_size=40))
-    expected = reference_derivation(word, spec)
-    assert word_derivation(word, spec) == expected
-    assert word_is_legal(word, spec) == (expected is not None)
+    expected = reference_derivation(word, h.spec)
+    assert word_derivation(word, h) == expected
+    assert word_is_legal(word, h) == (expected is not None)
 
 
 # large coefficients: digits near 0, 1 and c decide the moves, so draw those
@@ -267,20 +267,19 @@ def test_automaton_matches_recognizer_on_large_coefficients(handles, text, word,
     h = handles(text)
     for w in (word, greedy_decompose(h, n).dense(h.top_index(n))):
         expected = reference_derivation(w, h.spec)
-        assert word_derivation(w, h.spec) == expected
-        assert word_is_legal(w, h.spec) == (expected is not None)
+        assert word_derivation(w, h) == expected
+        assert word_is_legal(w, h) == (expected is not None)
 
 
-def test_derivation_memo_holds_only_the_moves_words_visit(handles):
-    h = handles("0,1000,1000")
-    spec = h.spec
-    _reverse_automaton.cache_clear()
+def test_derivation_memo_holds_only_the_moves_words_visit():
+    # a fresh handle: the session's handles have memos other tests filled
+    h = SequenceHandle.from_text("0,1000,1000")
     words = [[0, 999, 0, 0, 0, 1000, 7, 0, 1, 0], [0, 1000], [1, 0, 0]]
     words += [greedy_decompose(h, n).dense(h.top_index(n)) for n in (10**6, 3 * 10**9 + 5)]
     for word in words:
-        blocks = word_derivation(word, spec)
-        assert blocks is not None and blocks == reference_derivation(word, spec)
-    memo = _reverse_automaton(spec)[3]
+        blocks = word_derivation(word, h)
+        assert blocks is not None and blocks == reference_derivation(word, h.spec)
+    memo = h.reverse_automaton[3]
     digits = [d for row in memo for moves in row for d in moves]
     # one (q, d, r) triple per position of a word at most, each on a digit
     # some word holds
@@ -288,39 +287,53 @@ def test_derivation_memo_holds_only_the_moves_words_visit(handles):
     assert set(digits) <= {d for word in words for d in word}
 
 
+def test_each_handle_owns_its_automata():
+    # two handles of one spec share nothing: deriving on one leaves the
+    # other's derivation memo empty, and each builds its automata once
+    a, b = SequenceHandle.from_text("0,2,2"), SequenceHandle.from_text("0,2,2")
+    assert is_legal(greedy_decompose(a, 164), a).legal
+    assert any(memo for row in a.reverse_automaton[3] for memo in row)
+    assert not any(memo for row in b.reverse_automaton[3] for memo in row)
+    for h in (a, b):
+        assert h.automaton is h.automaton
+        assert h.reverse_automaton is h.reverse_automaton
+    assert a.automaton is not b.automaton
+    assert a.reverse_automaton is not b.reverse_automaton
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from(POOL),
     st.lists(st.integers(0, 4), min_size=0, max_size=9),
 )
-def test_recognizer_agrees_with_naive_transcription(text, word):
-    spec = parse_recurrence(text)
-    assert word_is_legal(word, spec) == naive_word_legal(word, spec)
+def test_recognizer_agrees_with_naive_transcription(handles, text, word):
+    h = handles(text)
+    assert word_is_legal(word, h) == naive_word_legal(word, h.spec)
 
 
-def test_padding_by_depth_plus_one_preserves_legality():
+def test_padding_by_depth_plus_one_preserves_legality(handles):
     # deep families absorb depth+1 leading zeros in one extra block level;
     # a single added zero does not always survive
     for text in ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "0,0,2,3"]:
-        spec = parse_recurrence(text)
-        pad = spec.depth + 1
+        h = handles(text)
+        pad = h.spec.depth + 1
         for word in itertools.product(range(3), repeat=6):
-            if word_is_legal(word, spec):
-                assert word_is_legal((0,) * pad + word, spec)
+            if word_is_legal(word, h):
+                assert word_is_legal((0,) * pad + word, h)
 
 
-def test_single_zero_padding_can_break_legality():
+def test_single_zero_padding_can_break_legality(handles):
     # frozen counterexample: on the lagonacci family the word for one copy
     # each of G_5 and G_1 is legal at length 6 but not at length 7
-    spec = parse_recurrence("0,1,1")
-    assert word_is_legal((0, 1, 0, 0, 0, 1), spec)
-    assert not word_is_legal((0, 0, 1, 0, 0, 0, 1), spec)
+    h = handles("0,1,1")
+    assert word_is_legal((0, 1, 0, 0, 0, 1), h)
+    assert not word_is_legal((0, 0, 1, 0, 0, 0, 1), h)
 
 
-def test_plrs_words_need_positive_lead():
-    spec = parse_recurrence("3,2,4")
-    assert not word_is_legal((0, 1), spec)
-    assert not word_is_legal((0, 3, 2, 3), spec)
+def test_plrs_words_need_positive_lead(handles):
+    h = handles("3,2,4")
+    assert not word_is_legal((0, 1), h)
+    assert not word_is_legal((0, 3, 2, 3), h)
 
 
 # --- decomposition-level legality -------------------------------------------
@@ -387,7 +400,7 @@ def test_derivations_replay_to_the_original_word(handles):
         h = handles(text)
         spec = h.spec
         for word in itertools.product(range(3), repeat=7):
-            blocks = word_derivation(word, spec)
+            blocks = word_derivation(word, h)
             if blocks is not None:
                 assert replay_derivation(blocks, 7, spec) == list(word)
 

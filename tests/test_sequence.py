@@ -106,7 +106,9 @@ def test_recurrence_residual_is_exactly_zero():
         h = SequenceHandle.from_text(text)
         c, L = h.spec.coefficients, h.spec.order
         h.term(40)
-        for n in range(h.prescribed_length + 1, 41):
+        # every term after the prescribed prefix, which holds ``order`` terms
+        # except on the Lagonacci family (1, 2, 4, 3 against order 3)
+        for n in range(L + 1 + h.spec.is_lagonacci, 41):
             expected = sum(c[i] * h.term(n - 1 - i) for i in range(L))
             assert h.term(n) - expected == 0
 
