@@ -8,8 +8,7 @@ decompositions, and probe families for uniqueness failures.
 from .recurrence import (
     Kind,
     RecurrenceSpec,
-    UniquenessFlags,
-    classify,
+    construction_applies,
     parse_recurrence,
 )
 from .sequence import SequenceHandle
@@ -26,7 +25,7 @@ from .legality import (
     word_derivation,
     word_is_legal,
 )
-from .greedy import BlockStep, GreedyTrace, greedy_decompose
+from .greedy import BlockStep, greedy_decompose
 from .enumerator import (
     DEFAULT_GRAMMAR_BUDGET,
     DEFAULT_ORACLE_BOUND,
@@ -55,8 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Kind",
     "RecurrenceSpec",
-    "UniquenessFlags",
-    "classify",
+    "construction_applies",
     "parse_recurrence",
     "SequenceHandle",
     "Decomposition",
@@ -71,7 +69,6 @@ __all__ = [
     "word_derivation",
     "word_is_legal",
     "BlockStep",
-    "GreedyTrace",
     "greedy_decompose",
     "DEFAULT_GRAMMAR_BUDGET",
     "DEFAULT_ORACLE_BOUND",

@@ -1,9 +1,10 @@
-"""The block grammar compiled to finite automata.
+"""The block grammar compiled to finite automata, which decide, derive and
+count words.  This module alone reads the automata's layout.
 
 Legal coefficient words form a regular language (Frougny 1992; Shallit
 1994).  ``compile_automaton`` builds a small NFA for it from the rules in
-``legality`` and determinises it by subset construction, so a word is decided
-in one left-to-right scan with no backtracking.  NFA states:
+``legality`` and determinises it by subset construction, so ``word_is_legal``
+decides a word in one left-to-right scan with no backtracking.  NFA states:
 
 * START: nothing read yet (accepting: the empty word is legal);
 * GAP: a block just closed; zeros extend its gap, and any digit may also
@@ -22,6 +23,7 @@ carry c_t = 0, so no digit closes a block there.
 words gives the live NFA states before each suffix, and a forward walk takes
 the one live move per digit, extending a gap while a legal tail still follows.
 The tests pin both to a recursive recognizer that transcribes the rules.
+``count_accepted`` counts the legal words of one length by paths in the DFA.
 
 Both builders are plain functions of the spec; each ``SequenceHandle`` builds
 its automata on first use and holds them, the derivation memo included.
@@ -29,8 +31,7 @@ its automata on first use and holds them, the derivation memo included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .recurrence import Kind, RecurrenceSpec
 
@@ -41,8 +42,7 @@ _START, _GAP, _UNIT = 0, 1, 2  # MATCH_i is state _UNIT + i
 DEAD = -1
 
 
-@dataclass(frozen=True)
-class DerivationBlock:
+class DerivationBlock(NamedTuple):
     """One grammar step.  ``condition`` is 1 (bare summand), 2 (full prefix)
     or 3 (block); blocks carry the drop position t, its coefficient, and the
     gap length that follows."""
@@ -132,6 +132,41 @@ def compile_reverse_automaton(spec: RecurrenceSpec):
         lambda subset, d: frozenset(q for q in states if moves[q][d] & subset),
         digits)
     return moves, delta, live, [[{} for _ in live] for _ in states]
+
+
+def reject_at(word, handle: SequenceHandle) -> int:
+    """Where one scan of the handle's automaton rejects the word: the 1-based
+    position of the digit that takes it to DEAD, len(word) + 1 if it ends in a
+    non-accepting state, or 0 if it accepts."""
+    delta, accepting = handle.automaton
+    cap = len(delta[0]) - 1
+    state = n = 0
+    for d in word:
+        n += 1
+        if not 0 <= d <= cap or (state := delta[state][d]) == DEAD:
+            return n
+    return 0 if accepting[state] else n + 1
+
+
+def word_is_legal(word, handle: SequenceHandle) -> bool:
+    """Decide the grammar on a dense coefficient word (value-blind).  An entry
+    outside 0..max(c, 1) rejects the word."""
+    return not reject_at(word, handle)
+
+
+def count_accepted(handle: SequenceHandle, n: int) -> int:
+    """The number of legal length-n words: length-n paths in the handle's DFA
+    from the start state to an accepting state."""
+    delta, accepting = handle.automaton
+    paths = [1] + [0] * (len(delta) - 1)  # paths[q]: words read so far ending in q
+    for _ in range(n):
+        nxt = [0] * len(delta)
+        for q, k in enumerate(paths):
+            for r in delta[q]:
+                if r != DEAD:
+                    nxt[r] += k
+        paths = nxt
+    return sum(k for k, acc in zip(paths, accepting) if acc)
 
 
 def word_derivation(word, handle: SequenceHandle) -> tuple[DerivationBlock, ...] | None:

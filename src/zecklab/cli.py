@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, naive_oracle
 from .errors import (
@@ -102,7 +101,7 @@ def _cmd_seq(args) -> int:
 def _cmd_decompose(args) -> int:
     handle = _handle_for(args)
     n = args.n
-    decomp, trace = greedy_decompose(handle, n, trace=True)
+    decomp, steps = greedy_decompose(handle, n, trace=True)
     verdict = is_legal(decomp, handle)
     if args.json:
         payload = {"n": str(n), **_decomp_json(decomp, handle), "legal": verdict.legal}
@@ -117,14 +116,14 @@ def _cmd_decompose(args) -> int:
                     ],
                     "remainder": str(step.remainder),
                 }
-                for step in trace.steps
+                for step in steps
             ]
         print(json.dumps(payload))
     else:
         pieces = " + ".join(f"{m}*G_{i}({handle.term(i)})" for i, m in decomp.summands)
         print(f"{n} = {pieces or '0'}  [{'legal' if verdict.legal else 'ILLEGAL'}]")
         if args.trace:
-            for step in trace.steps:
+            for step in steps:
                 if step.kind == "unit":
                     print(f"  exact term: G_{step.anchor}")
                 else:
@@ -153,7 +152,7 @@ def _cmd_check(args) -> int:
         }
         if verdict.blocks is not None:
             payload["derivation"] = [
-                {k: v for k, v in asdict(b).items() if v is not None}
+                {k: v for k, v in b._asdict().items() if v is not None}
                 for b in verdict.blocks
             ]
         if verdict.reason:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .automaton import DEAD
+from .automaton import count_accepted
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 from .legality import Decomposition, canonicalize, word_is_legal
 from .recurrence import Kind
@@ -64,53 +64,6 @@ def _heads(handle: SequenceHandle, m: int, cap: int):
             yield (prefix + ((m + 1 - t, a),) if a else prefix), used, m - t
 
 
-class _WordGenerator:
-    """Memoized generation of legal sparse words of exact length and value.
-    The memo is kept between calls as a bounded cache (see ``_generator``)."""
-
-    def __init__(self, handle: SequenceHandle):
-        self.handle = handle
-        self.memo: dict[tuple[int, int], frozenset] = {}
-        self.ceiling = _STATE_LIMIT  # memo size at which this call gives up
-
-    def words(self, m: int, value: int) -> frozenset:
-        """All legal words of length m whose value is exactly ``value``."""
-        key = (m, value)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if len(self.memo) > self.ceiling:
-            raise BudgetExceededError("grammar enumeration state limit reached")
-        out: set[tuple[tuple[int, int], ...]] = set()
-        if m == 0:
-            if value == 0:
-                out.add(())
-        else:
-            h = self.handle
-            for head, used, longest in _heads(h, m, value):
-                rest = value - used
-                for k in range(longest, -1, -1):
-                    if rest > h.max_word_value(k):
-                        break  # shorter tails only get smaller
-                    for tail in self.words(k, rest):
-                        out.add(head + tail)
-        res = frozenset(out)
-        self.memo[key] = res
-        return res
-
-
-def _generator(handle: SequenceHandle) -> _WordGenerator:
-    """The handle's generator, set up for one call: a memo already past
-    ``_STATE_LIMIT`` is cleared, and the call may add ``_STATE_LIMIT`` more."""
-    gen = getattr(handle, "_word_generator", None)
-    if gen is None:
-        gen = handle._word_generator = _WordGenerator(handle)
-    if len(gen.memo) > _STATE_LIMIT:
-        gen.memo.clear()
-    gen.ceiling = len(gen.memo) + _STATE_LIMIT
-    return gen
-
-
 def enumerate_legal(
     handle: SequenceHandle, n_value: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> set[Decomposition]:
@@ -121,8 +74,37 @@ def enumerate_legal(
         raise BudgetExceededError(f"value {n_value} exceeds enumeration budget {budget}")
     if n_value == 0:
         return {Decomposition()}
-    words = _generator(handle).words(handle.top_index(n_value), n_value)
-    return {Decomposition(word) for word in words}
+    # the handle's memo is kept between calls as a bounded cache: one already
+    # past _STATE_LIMIT is cleared, and this call may add _STATE_LIMIT more
+    memo = handle.word_memo
+    if len(memo) > _STATE_LIMIT:
+        memo.clear()
+    ceiling = len(memo) + _STATE_LIMIT
+
+    def words(m: int, value: int) -> frozenset:
+        """All legal words of length m whose value is exactly ``value``."""
+        key = (m, value)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if len(memo) > ceiling:
+            raise BudgetExceededError("grammar enumeration state limit reached")
+        out: set[tuple[tuple[int, int], ...]] = set()
+        if m == 0:
+            if value == 0:
+                out.add(())
+        else:
+            for head, used, longest in _heads(handle, m, value):
+                rest = value - used
+                for k in range(longest, -1, -1):
+                    if rest > handle.max_word_value(k):
+                        break  # shorter tails only get smaller
+                    for tail in words(k, rest):
+                        out.add(head + tail)
+        memo[key] = res = frozenset(out)
+        return res
+
+    return {Decomposition(word) for word in words(handle.top_index(n_value), n_value)}
 
 
 def naive_oracle(
@@ -257,22 +239,12 @@ def bijection_count(handle: SequenceHandle, n: int) -> tuple[int, int]:
     """(number of legal decompositions whose top summand index is exactly n,
     G_{n+1} - G_n).  Depth-0 families only; the two numbers should agree.
 
-    The count is the number of length-n paths in the legality DFA from the
-    start state to an accepting state.  A depth-0 word cannot open with a
-    zero, so each of them has its top summand at index n.
+    The count is ``count_accepted``'s number of legal length-n words.  A
+    depth-0 word cannot open with a zero, so each of them has its top summand
+    at index n.
     """
     if handle.spec.kind is not Kind.PLRR:
         raise NotPLRSError("alignment census requires a depth-0 recurrence")
     if n < 1:
         raise ValueError("alignment must be >= 1")
-    delta, accepting = handle.automaton
-    paths = [1] + [0] * (len(delta) - 1)  # paths[q]: words read so far ending in q
-    for _ in range(n):
-        nxt = [0] * len(delta)
-        for q, k in enumerate(paths):
-            for r in delta[q]:
-                if r != DEAD:
-                    nxt[r] += k
-        paths = nxt
-    count = sum(k for k, acc in zip(paths, accepting) if acc)
-    return count, handle.term(n + 1) - handle.term(n)
+    return count_accepted(handle, n), handle.term(n + 1) - handle.term(n)

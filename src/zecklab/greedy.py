@@ -14,7 +14,7 @@ grammar rejects the leading zeros.  Otherwise the block step runs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NonProgressError
 from .legality import Decomposition, word_is_legal
@@ -31,16 +31,10 @@ class BlockStep:
     remainder: int = 0
 
 
-@dataclass
-class GreedyTrace:
-    target: int
-    steps: list[BlockStep] = field(default_factory=list)
-
-
 def greedy_decompose(
     handle: SequenceHandle, n_value: int, trace: bool = False
-) -> Decomposition | tuple[Decomposition, GreedyTrace]:
-    """Decompose ``n_value`` greedily; returns (result, trace) when asked.
+) -> Decomposition | tuple[Decomposition, list[BlockStep]]:
+    """Decompose ``n_value`` greedily; returns (result, steps) when asked.
 
     Raises NonProgressError if a remainder fails to re-anchor strictly below
     the position where its block closed.  That is known to happen on the
@@ -106,4 +100,4 @@ def greedy_decompose(
                                    takes=takes, remainder=remainder))
     # every multiplicity is positive and every index >= 1
     result = Decomposition(tuple(sorted(out.items(), reverse=True)))
-    return (result, GreedyTrace(target=n_value, steps=steps)) if trace else result
+    return (result, steps) if trace else result

@@ -1,4 +1,4 @@
-"""Decompositions and the block grammar that decides which ones are legal.
+"""Decompositions, and the block grammar's verdict on each one.
 
 A decomposition is a sparse map from term index to positive multiplicity.
 Viewed against an alignment m it becomes the dense coefficient word
@@ -16,12 +16,11 @@ from the grammar:
 The empty decomposition is legal (it represents 0).  Every entry of a legal
 word lies in 0..max(c, 1); a negative entry is never legal.
 
-``word_is_legal`` decides the grammar with the automaton that ``automaton``
-compiles from these rules, and that the handle builds once and holds: one
-left-to-right scan per word.  ``word_derivation`` reads the derivation of a
-legal word off the same NFA, through the handle's reversed automaton.
-``is_legal`` runs the scan first and asks for a derivation only when the word
-is legal; for an illegal word its reason says where the scan rejected it.
+Words are decided and derived in ``automaton``, which compiles these rules
+into the automata that the handle builds once and holds; this module
+re-exports ``word_is_legal`` and ``word_derivation``.  ``is_legal`` judges a
+decomposition: it scans its word first and asks for a derivation only when the
+word is legal; for an illegal word its reason says where the scan rejected it.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import DEAD, DerivationBlock, word_derivation
+from .automaton import DerivationBlock, reject_at, word_derivation, word_is_legal
 from .errors import AlignmentTooSmallError, DecompositionTextError
 from .recurrence import RecurrenceSpec
 from .sequence import SequenceHandle
@@ -137,26 +136,6 @@ class LegalityVerdict:
     reason: str | None = None
 
 
-def _scan(word, handle: SequenceHandle) -> int:
-    """Where one scan of the handle's automaton rejects the word: the 1-based
-    position of the digit that takes it to DEAD, len(word) + 1 if it ends in a
-    non-accepting state, or 0 if it accepts."""
-    delta, accepting = handle.automaton
-    cap = len(delta[0]) - 1
-    state = n = 0
-    for d in word:
-        n += 1
-        if not 0 <= d <= cap or (state := delta[state][d]) == DEAD:
-            return n
-    return 0 if accepting[state] else n + 1
-
-
-def word_is_legal(word, handle: SequenceHandle) -> bool:
-    """Decide the grammar on a dense coefficient word (value-blind).  An entry
-    outside 0..max(c, 1) rejects the word."""
-    return not _scan(word, handle)
-
-
 def replay_derivation(
     blocks: tuple[DerivationBlock, ...], alignment: int, spec: RecurrenceSpec
 ) -> list[int]:
@@ -196,7 +175,7 @@ def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
         return LegalityVerdict(legal=True, alignment=0, blocks=())
     m = window_alignment(d, handle)
     word = d.dense(m)
-    at = _scan(word, handle)
+    at = reject_at(word, handle)
     if not at:
         blocks = word_derivation(word, handle)
         return LegalityVerdict(legal=True, alignment=m, blocks=blocks)

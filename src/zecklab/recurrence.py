@@ -65,21 +65,6 @@ class RecurrenceSpec:
         return self.text
 
 
-@dataclass(frozen=True)
-class UniquenessFlags:
-    """What the family's coefficients say about decomposition uniqueness.
-
-    construction_applies: the explicit two-decompositions construction has
-        all its preconditions (deep family, lead > depth, next coefficient
-        positive, last coefficient > 1).
-    lead_exceeds_depth: deep family with lead > depth; conjectured to lose
-        uniqueness somewhere.
-    """
-
-    construction_applies: bool
-    lead_exceeds_depth: bool
-
-
 def parse_recurrence(text: str) -> RecurrenceSpec:
     """Parse and validate ``c1,c2,...,cL`` into a RecurrenceSpec.
 
@@ -115,17 +100,11 @@ def parse_recurrence(text: str) -> RecurrenceSpec:
     )
 
 
-def classify(spec: RecurrenceSpec) -> UniquenessFlags:
-    """Compute the uniqueness-related flags by direct coefficient checks."""
+def construction_applies(spec: RecurrenceSpec) -> bool:
+    """Whether the explicit two-decompositions construction has all its
+    preconditions: deep family, lead > depth, next coefficient positive,
+    last coefficient > 1."""
     c, s, L = spec.coefficients, spec.depth, spec.order
     # Depth-0 families have provably unique decompositions, so the deep-family
-    # statements are never applied to them.
-    deep = s >= 1
-    lead_exceeds = deep and c[s] > s
-    construction = (
-        lead_exceeds and L >= s + 2 and c[s + 1] > 0 and c[L - 1] > 1
-    )
-    return UniquenessFlags(
-        construction_applies=construction,
-        lead_exceeds_depth=lead_exceeds,
-    )
+    # construction is never applied to them.
+    return s >= 1 and c[s] > s and L >= s + 2 and c[s + 1] > 0 and c[L - 1] > 1

@@ -4,11 +4,12 @@ Terms are 1-indexed arbitrary-precision integers.  The first ``order`` terms
 come from the initial-condition rules (plus the special 1,2,4,3 prefix for
 the Lagonacci family); later terms follow the recurrence exactly.
 
-The handle owns all per-family state and shares none with other handles:
+The handle holds all per-family state and shares none with other handles:
 the term cache, append-only and grown on read (``term``, ``window`` and
-``top_index`` extend it); the memo ``enumerate_legal`` attaches; and the
-legality automata, built on first use, the reversed one with the derivation
-walk's memo.  A handle is not thread-safe, so use one handle per thread.
+``top_index`` extend it); ``word_memo``, the words ``enumerate_legal`` has
+generated; and the legality automata, built on first use, the reversed one
+with the derivation walk's memo.  Nothing else attaches state to a handle.
+A handle is not thread-safe, so use one handle per thread.
 ``tables(bound)`` returns the handle's own term list, window floors and
 value->index map for loops that would call ``term``/``top_index`` per step.
 Those views and both automata are read-only: a caller must never write them.
@@ -67,6 +68,8 @@ class SequenceHandle:
         # so the minimum is fixed once the cache holds G_{m+order-1}.
         L = spec.order
         self._floors = [min(self._terms[m:]) for m in range(len(self._terms) - L + 1)]
+        # enumerate_legal's words: (length, value) -> frozenset of sparse words
+        self.word_memo: dict[tuple[int, int], frozenset] = {}
 
     @classmethod
     def from_text(cls, text: str) -> "SequenceHandle":

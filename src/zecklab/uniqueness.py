@@ -23,13 +23,13 @@ from .errors import (
 )
 from .greedy import greedy_decompose
 from .legality import Decomposition, evaluate, is_legal
-from .recurrence import classify, parse_recurrence
+from .recurrence import construction_applies, parse_recurrence
 from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, first_nonunique
 from .sequence import SequenceHandle
 
 
 def _require_construction(handle: SequenceHandle) -> None:
-    if not classify(handle.spec).construction_applies:
+    if not construction_applies(handle.spec):
         raise NotApplicableError(
             f"{handle.spec.text}: construction needs a deep family with "
             "lead > depth, positive second coefficient and last coefficient > 1"
@@ -250,7 +250,7 @@ def probe_family(
 ) -> list[ExperimentRecord]:
     """Run the full measurement battery over a list of families.
 
-    Per family: classify, scan for the first non-unique value, and, when the
+    Per family: scan for the first non-unique value, and, when the
     construction applies, compute the slack and attempt the counterexample.
     A budget overrun or a failed construction becomes the record's status,
     and keeps the constructed N if it got that far; any other error, such
@@ -261,7 +261,6 @@ def probe_family(
         started = time.perf_counter()
         spec = parse_recurrence(text)
         handle = SequenceHandle(spec)
-        flags = classify(spec)
         rec = ExperimentRecord(
             recurrence=text, s=spec.depth, L=spec.order, bound=bound
         )
@@ -269,7 +268,7 @@ def probe_family(
             hit = first_nonunique(handle, bound, budget)
             if hit is not None:
                 rec.first_nonunique_n, rec.count_at_n = hit
-            if flags.construction_applies:
+            if construction_applies(spec):
                 rec.slack = construction_slack(handle)
                 report = construct_counterexample(handle, budget)
                 rec.counterexample_n = report.n_value

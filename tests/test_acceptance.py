@@ -14,8 +14,8 @@ from zecklab import (
     SequenceHandle,
     bijection_count,
     case1_slack_closed_form,
-    classify,
     construct_counterexample,
+    construction_applies,
     construction_slack,
     decompositions_up_to,
     enumerate_legal,
@@ -137,8 +137,7 @@ def test_criterion_07_window_slack_negative():
     checked = 0
     problems = []
     for h in grid_handles():
-        flags = classify(h.spec)
-        if not flags.construction_applies:
+        if not construction_applies(h.spec):
             continue
         checked += 1
         slack = construction_slack(h)
@@ -157,7 +156,7 @@ def test_criterion_08_counterexample_construction():
     attempted = 0
     failures = []
     for h in grid_handles():
-        if not classify(h.spec).construction_applies:
+        if not construction_applies(h.spec):
             continue
         attempted += 1
         try:
@@ -200,7 +199,7 @@ def test_criterion_09_conjecture_probes(handles):
     missing = []
     probed = 0
     for h in grid_handles():
-        if not classify(h.spec).lead_exceeds_depth:
+        if not (h.spec.depth >= 1 and h.spec.lead > h.spec.depth):
             continue
         probed += 1
         if first_nonunique(h, 5000) is None:

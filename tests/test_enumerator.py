@@ -197,7 +197,7 @@ def test_word_memo_is_a_bounded_cache(monkeypatch):
                 enumerate_legal(h, n)
         else:
             assert enumerate_legal(h, n) == want, n
-        largest = max(largest, len(h._word_generator.memo))
+        largest = max(largest, len(h.word_memo))
     assert refused, "no single call passed the limit"
     assert largest <= 2 * limit + 1
 

@@ -80,14 +80,14 @@ def test_determinism(handles):
 
 def test_trace_records_blocks(handles):
     h = handles("0,2,2")
-    d, trace = greedy_decompose(h, 164, trace=True)
+    d, steps = greedy_decompose(h, 164, trace=True)
     assert d.to_dict() == {8: 2, 7: 1, 5: 2}
-    assert trace.steps[0].kind == "block"
-    assert trace.steps[0].anchor == 9
-    assert trace.steps[0].takes == ((8, 2, 56), (7, 1, 32))
-    assert trace.steps[0].remainder == 20
-    assert trace.steps[1].anchor == 6
-    assert trace.steps[1].remainder == 0
+    assert steps[0].kind == "block"
+    assert steps[0].anchor == 9
+    assert steps[0].takes == ((8, 2, 56), (7, 1, 32))
+    assert steps[0].remainder == 20
+    assert steps[1].anchor == 6
+    assert steps[1].remainder == 0
 
 
 def test_first_block_consumes_the_most(handles):
@@ -95,8 +95,8 @@ def test_first_block_consumes_the_most(handles):
     for text in ["0,2,2", "0,1,1", "1,1"]:
         h = handles(text)
         for n in range(2, 120):
-            _, trace = greedy_decompose(h, n, trace=True)
-            step = trace.steps[0]
+            _, steps = greedy_decompose(h, n, trace=True)
+            step = steps[0]
             if step.kind != "block":
                 continue
             consumed = n - step.remainder
@@ -153,10 +153,10 @@ def test_traced_and_untraced_runs_agree_on_the_grid(handles, text, n):
         with pytest.raises(NonProgressError, match=re.escape(str(exc))):
             greedy_decompose(h, n, trace=True)
         return
-    traced, trace = greedy_decompose(h, n, trace=True)
-    assert traced == d and trace.target == n
+    traced, steps = greedy_decompose(h, n, trace=True)
+    assert traced == d
     summands = {}
-    for step in trace.steps:
+    for step in steps:
         if step.kind == "unit":
             summands[step.anchor] = 1
         for j, copies, g in step.takes:

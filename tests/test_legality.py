@@ -10,6 +10,7 @@ from zecklab import (
     RecurrenceSpec,
     SequenceHandle,
     canonicalize,
+    enumerate_legal,
     evaluate,
     expand_grid,
     greedy_decompose,
@@ -288,12 +289,15 @@ def test_derivation_memo_holds_only_the_moves_words_visit():
 
 
 def test_each_handle_owns_its_automata():
-    # two handles of one spec share nothing: deriving on one leaves the
-    # other's derivation memo empty, and each builds its automata once
+    # two handles of one spec share nothing: deriving or enumerating on one
+    # leaves the other's derivation memo and word memo empty, and each builds
+    # its automata once
     a, b = SequenceHandle.from_text("0,2,2"), SequenceHandle.from_text("0,2,2")
     assert is_legal(greedy_decompose(a, 164), a).legal
+    assert enumerate_legal(a, 164)
     assert any(memo for row in a.reverse_automaton[3] for memo in row)
     assert not any(memo for row in b.reverse_automaton[3] for memo in row)
+    assert a.word_memo and not b.word_memo
     for h in (a, b):
         assert h.automaton is h.automaton
         assert h.reverse_automaton is h.reverse_automaton

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zecklab import Kind, classify, parse_recurrence
+from zecklab import Kind, construction_applies, parse_recurrence
 from zecklab.errors import (
     AllZeroError,
     DegenerateError,
@@ -69,35 +69,30 @@ def test_singleton_support_above_one_is_degenerate():
 
 
 def test_classify_construction_family():
-    flags = classify(parse_recurrence("0,2,1,2"))
-    assert flags.construction_applies
-    assert flags.lead_exceeds_depth
+    assert construction_applies(parse_recurrence("0,2,1,2"))
 
 
 def test_classify_lagonacci():
-    flags = classify(parse_recurrence("0,1,1"))
-    assert not flags.construction_applies
-    assert not flags.lead_exceeds_depth  # lead 1 does not exceed depth 1
+    # lead 1 does not exceed depth 1
+    assert not construction_applies(parse_recurrence("0,1,1"))
 
 
 def test_classify_conjectured_unique_shape():
-    flags = classify(parse_recurrence("0,0,1,4"))
-    assert not flags.lead_exceeds_depth
+    # lead 1 does not exceed depth 2
+    assert not construction_applies(parse_recurrence("0,0,1,4"))
 
 
 def test_classify_depth_zero_never_flagged():
     # depth-0 families are provably unique; the deep-family statements
     # do not apply to them even when the raw inequalities hold
-    flags = classify(parse_recurrence("2,1,2"))
-    assert not flags.construction_applies
-    assert not flags.lead_exceeds_depth
+    assert not construction_applies(parse_recurrence("2,1,2"))
 
 
 def test_construction_implies_lead_exceeds_depth():
     for text in ["0,2,2", "0,2,1,2", "0,0,3,1,2", "0,3,1", "0,1,1"]:
-        flags = classify(parse_recurrence(text))
-        if flags.construction_applies:
-            assert flags.lead_exceeds_depth
+        spec = parse_recurrence(text)
+        if construction_applies(spec):
+            assert spec.depth >= 1 and spec.lead > spec.depth
 
 
 @st.composite

@@ -3,8 +3,8 @@ import pytest
 from zecklab import (
     SequenceHandle,
     case1_slack_closed_form,
-    classify,
     construct_counterexample,
+    construction_applies,
     construction_slack,
     enumerate_legal,
     evaluate,
@@ -45,7 +45,7 @@ def grid_specs(depths, spans, c_max):
 def test_slack_negative_across_small_grid():
     for text in grid_specs(range(1, 3), range(2, 4), 3):
         spec = parse_recurrence(text)
-        if not classify(spec).construction_applies:
+        if not construction_applies(spec):
             continue
         h = SequenceHandle(spec)
         slack = construction_slack(h)
