@@ -9,20 +9,20 @@ term value short-circuits to a bare summand: after a block, at the largest
 matching index below the block's stop index; for the target itself, at the
 largest matching index, unless that index sits below the window top and the
 grammar rejects the leading zeros.  Otherwise the block step runs.
+Each traced ``BlockStep`` is a NamedTuple, with tuple semantics.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonProgressError
 from .legality import Decomposition, word_is_legal
 from .sequence import SequenceHandle
 
 
-@dataclass(frozen=True)
-class BlockStep:
+class BlockStep(NamedTuple):
     """One level of the walk: either a bare summand or a block of takes."""
 
     kind: str  # "unit" or "block"

@@ -26,11 +26,17 @@ A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
 the alignment to the value's window is what makes "which sums are legal for
 N" well defined even for families whose early terms are not monotone.
+
+``LegalityVerdict`` and ``DerivationBlock`` are NamedTuples, with tuple
+semantics: indexing, unpacking, equality with an equal plain tuple.
+``Decomposition`` is a small immutable class instead, equal only to another
+Decomposition and never a tuple, so that greedy's ``(result, steps)`` pair is
+told from a bare result by ``isinstance(result, tuple)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import DerivationBlock, reject_at, word_derivation, word_is_legal
 from .errors import AlignmentTooSmallError, DecompositionTextError
@@ -38,12 +44,36 @@ from .recurrence import RecurrenceSpec
 from .sequence import SequenceHandle
 
 
-@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Canonical sparse decomposition: ((index, multiplicity), ...) sorted by
-    strictly decreasing index, multiplicities all >= 1."""
+    strictly decreasing index, multiplicities all >= 1.  Immutable, hashable,
+    and equal only to a Decomposition with the same summands."""
 
-    summands: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("summands",)
+    __match_args__ = ("summands",)
+
+    def __init__(self, summands: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "summands", summands)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self) -> int:
+        return hash((self.summands,))
+
+    def __reduce__(self):
+        return self.__class__, (self.summands,)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(summands={self.summands!r})"
 
     @classmethod
     def from_dict(cls, mapping: dict[int, int]) -> "Decomposition":
@@ -128,8 +158,7 @@ def evaluate(d: Decomposition, handle: SequenceHandle) -> int:
     return sum(mult * terms[idx - 1] for idx, mult in d.summands)
 
 
-@dataclass(frozen=True)
-class LegalityVerdict:
+class LegalityVerdict(NamedTuple):
     legal: bool
     alignment: int
     blocks: tuple[DerivationBlock, ...] | None = None

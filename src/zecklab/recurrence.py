@@ -4,14 +4,15 @@ A recurrence is given as the comma-separated list of its coefficients
 ``c1,c2,...,cL`` (ASCII digits and commas; spaces tolerated).  Families whose
 leading coefficient is positive behave like classical positional systems;
 families with a block of leading zeros ("deep" families) are the interesting
-case for uniqueness questions.
+case for uniqueness questions.  ``RecurrenceSpec`` is a NamedTuple: it
+indexes, unpacks and equals a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AllZeroError,
@@ -30,8 +31,7 @@ class Kind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """A validated coefficient vector with its derived structure.
 
     ``depth`` counts the leading zeros, ``order`` is the total number of

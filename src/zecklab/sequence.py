@@ -82,23 +82,33 @@ class SequenceHandle:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _grow(self) -> None:
-        c, L = self.spec.coefficients, self.spec.order
-        k = len(self._terms)
-        nxt = sum(c[i] * self._terms[k - 1 - i] for i in range(L) if c[i])
-        self._terms.append(nxt)
-        if nxt in self._index_of_value:
-            self._duplicate_values = True
-        self._index_of_value[nxt] = k + 1
-        self._cumsum.append(self._cumsum[-1] + nxt)
-        self._floors.append(min(self._terms[-L:]))
+    def _grow_to(self, length: int, bound: int = -1) -> None:
+        """Append terms until the cache holds ``length`` terms and its last
+        ``order`` terms all exceed ``bound``; the one place the tables grow."""
+        terms, floors = self._terms, self._floors
+        index_of_value, cumsum = self._index_of_value, self._cumsum
+        L = self.spec.order
+        taps = [(c, -1 - i) for i, c in enumerate(self.spec.coefficients) if c]
+        k, total = len(terms), cumsum[-1]
+        while k < length or floors[-1] <= bound:
+            nxt = 0
+            for c, back in taps:
+                nxt += c * terms[back]
+            terms.append(nxt)
+            k += 1
+            if nxt in index_of_value:
+                self._duplicate_values = True
+            index_of_value[nxt] = k
+            total += nxt
+            cumsum.append(total)
+            floors.append(min(terms[-L:]))
 
     def term(self, n: int) -> int:
         """G_n, computing and caching any missing terms."""
         if n < 1:
             raise ValueError("term index must be >= 1")
-        while len(self._terms) < n:
-            self._grow()
+        if len(self._terms) < n:
+            self._grow_to(n)
         return self._terms[n - 1]
 
     def terms(self, count: int) -> list[int]:
@@ -117,8 +127,8 @@ class SequenceHandle:
         if bound >= 1 and self.spec.coefficients == (1,):
             # constant sequence 1, 1, 1, ...: the condition can never be met
             raise NonProgressError("sequence is constant; it never exceeds 1")
-        while self._floors[-1] <= bound:  # the minimum of the last ``order`` terms
-            self._grow()
+        if self._floors[-1] <= bound:  # the minimum of the last ``order`` terms
+            self._grow_to(0, bound)
         return len(self._terms)
 
     def tables(self, bound: int) -> tuple[Sequence[int], Sequence[int], Mapping[int, int]]:
@@ -149,8 +159,8 @@ class SequenceHandle:
         """(lo, hi): the values whose top index is m are exactly lo <= v < hi."""
         if m < 1:
             raise ValueError("window index must be >= 1")
-        while len(self._floors) <= m:
-            self._grow()
+        if len(self._floors) <= m:  # len(floors) == len(terms) - order + 1
+            self._grow_to(m + self.spec.order)
         return self._floors[m - 1], self._floors[m]
 
     def index_of_value(self, value: int) -> int | None:

@@ -7,13 +7,18 @@ decompositions built from the same large prefix.  ``construction_slack``
 computes the quantity whose negativity places N inside that window;
 ``construct_counterexample`` builds and verifies the two candidate
 decompositions and reports exactly what holds.
+
+``CounterexampleReport`` and ``UniquenessReport`` are NamedTuples, with tuple
+semantics: indexing, unpacking, equality with an equal plain tuple.
+``ExperimentRecord`` is a small mutable class instead, because
+``probe_family`` fills each row in as it measures.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -22,7 +27,7 @@ from .errors import (
     RecurrenceError,
 )
 from .greedy import greedy_decompose
-from .legality import Decomposition, evaluate, is_legal
+from .legality import Decomposition, evaluate, window_alignment, word_is_legal
 from .recurrence import construction_applies, parse_recurrence
 from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, first_nonunique
 from .sequence import SequenceHandle
@@ -59,8 +64,7 @@ def case1_slack_closed_form(handle: SequenceHandle) -> int:
     return (2 - handle.term(3)) * lead * lead - 2 * lead
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """Verified outcome of the two-decompositions construction.
 
     ``decompA`` is the prefix + explicit G_{s+3} + greedy(x) decomposition.
@@ -122,8 +126,12 @@ def construct_counterexample(
         n_value=n_value, x=x, window=(lo, hi), window_ok=window_ok,
         decompA=str(decomp_a), direct_candidate=str(candidate_b),
     )
-    a_legal = is_legal(decomp_a, handle).legal
-    b_legal = is_legal(candidate_b, handle).legal
+
+    def legal(d: Decomposition) -> bool:  # is_legal's verdict, without the derivation
+        return word_is_legal(d.dense(window_alignment(d, handle)), handle)
+
+    a_legal = legal(decomp_a)
+    b_legal = legal(candidate_b)
     diagnostics.update(decompA_legal=a_legal, direct_candidate_legal=b_legal)
     if evaluate(decomp_a, handle) != n_value or evaluate(candidate_b, handle) != n_value:
         raise ConstructionFailedError("constructed sums do not evaluate to N", diagnostics)
@@ -151,7 +159,7 @@ def construct_counterexample(
             f"(count = {len(all_decomps)})",
             diagnostics,
         )
-    assert is_legal(decomp_b, handle).legal and decomp_b != decomp_a
+    assert legal(decomp_b) and decomp_b != decomp_a
     return CounterexampleReport(
         n_value=n_value,
         x=x,
@@ -164,8 +172,7 @@ def construct_counterexample(
     )
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     recurrence: str
     bound: int
     all_unique: bool
@@ -193,25 +200,38 @@ CSV_HEADER = (
 )
 
 
-@dataclass
 class ExperimentRecord:
-    """One row of a sweep: everything measured for a single family."""
+    """One row of a sweep: everything measured for a single family.  Mutable;
+    rows compare field by field."""
 
-    recurrence: str
-    s: int
-    L: int
-    bound: int
-    first_nonunique_n: int | None = None
-    count_at_n: int | None = None
-    slack: int | None = None
-    counterexample_n: int | None = None
-    status: str = "ok"
-    elapsed_ms: int = 0
-    note: str = ""
+    __match_args__ = ("recurrence", "s", "L", "bound", "first_nonunique_n", "count_at_n",
+                      "slack", "counterexample_n", "status", "elapsed_ms", "note")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, recurrence: str, s: int, L: int, bound: int,
+                 first_nonunique_n: int | None = None, count_at_n: int | None = None,
+                 slack: int | None = None, counterexample_n: int | None = None,
+                 status: str = "ok", elapsed_ms: int = 0, note: str = ""):
+        self.recurrence, self.s, self.L, self.bound = recurrence, s, L, bound
+        self.first_nonunique_n, self.count_at_n = first_nonunique_n, count_at_n
+        self.slack, self.counterexample_n = slack, counterexample_n
+        self.status, self.elapsed_ms, self.note = status, elapsed_ms, note
+
+    def _cells(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cells() == other._cells()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
 
     def csv_cells(self) -> list[str]:
         """Every field but the trailing ``note``, in ``CSV_HEADER``'s order."""
-        return ["" if v is None else str(v) for v in astuple(self)[:-1]]
+        return ["" if v is None else str(v) for v in self._cells()[:-1]]
 
 
 def expand_grid(

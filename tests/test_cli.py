@@ -312,9 +312,9 @@ def test_integers_past_4300_digits_print_in_full(capsys):
 ])
 def test_term_index_above_the_cap_exits_2_without_growing_the_table(
         argv, tail, monkeypatch, capsys):
-    def grow(self):
+    def grow(self, *args):
         raise AssertionError("the term table grew")
-    monkeypatch.setattr(SequenceHandle, "_grow", grow)
+    monkeypatch.setattr(SequenceHandle, "_grow_to", grow)
     try:
         code = main(argv)
     except SystemExit as exc:

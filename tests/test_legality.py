@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,36 @@ def reference_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, .
 
 
 # --- decomposition plumbing -------------------------------------------------
+
+def test_decomposition_keeps_the_frozen_record_behaviour():
+    d = Decomposition(((5, 2), (1, 1)))
+    assert Decomposition(summands=((5, 2), (1, 1))) == d
+    assert Decomposition().summands == () and not Decomposition()
+    # equal only to a Decomposition, never to a tuple of the same content
+    assert d != ((5, 2), (1, 1)) and d != (((5, 2), (1, 1)),)
+    assert d != Decomposition(((5, 2),))
+    assert hash(d) == hash((d.summands,)) and len({d, Decomposition(d.summands)}) == 1
+    assert repr(d) == "Decomposition(summands=((5, 2), (1, 1)))"
+    assert Decomposition.__match_args__ == ("summands",)
+    match d:
+        case Decomposition(summands):
+            assert summands == ((5, 2), (1, 1))
+    for assign in (lambda: setattr(d, "summands", ()), lambda: setattr(d, "other", 1),
+                   lambda: delattr(d, "summands")):
+        with pytest.raises(AttributeError):
+            assign()
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert type(twin) is Decomposition and twin == d
+    # greedy's callers tell a bare result from its (result, steps) pair this way
+    assert not isinstance(d, tuple)
+
+
+def test_verdict_is_a_named_tuple(handles):
+    verdict = is_legal(parse_decomposition("8:3,7:1"), handles("0,2,2"))
+    legal, alignment, blocks, reason = verdict
+    assert verdict[:3] == (False, 10, None) and verdict == tuple(verdict)
+    assert reason.startswith("no grammar derivation")
+
 
 def test_evaluate_examples(handles):
     d = Decomposition.from_dict({8: 2, 7: 1, 5: 2})

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,3 +141,24 @@ def test_parse_accepts_exactly_the_valid_vectors(raw):
     else:
         with pytest.raises(RecurrenceError):
             parse_recurrence(text)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for the import; these two modules cost it about 20 ms
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; import zecklab; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_spec_is_a_named_tuple():
+    spec = parse_recurrence("0,2,2")
+    coefficients, depth, order, kind, support = spec
+    assert (coefficients, depth, order, kind) == ((0, 2, 2), 1, 3, Kind.ZLRR)
+    assert spec[4] == support == frozenset({2, 3})
+    assert spec == tuple(spec) and hash(spec) == hash(tuple(spec))
+    assert repr(spec) == ("RecurrenceSpec(coefficients=(0, 2, 2), depth=1, order=3, "
+                          "kind=<Kind.ZLRR: 'ZLRR'>, support=frozenset({2, 3}))")

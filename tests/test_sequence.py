@@ -1,6 +1,8 @@
+from itertools import accumulate
+
 import pytest
 
-from zecklab import SequenceHandle
+from zecklab import SequenceHandle, expand_grid, parse_recurrence
 from zecklab.errors import NonProgressError
 
 
@@ -135,3 +137,36 @@ def test_terms_are_arbitrary_precision(handles):
     h = SequenceHandle.from_text("3,2,4")
     big = h.term(200)
     assert big > 10**80
+
+
+def reference_terms(spec, count):
+    """G_1..G_count, one term at a time from the handle's prescribed prefix."""
+    terms = list(SequenceHandle(spec).tables(0)[0])
+    c = spec.coefficients
+    while len(terms) < count:
+        terms.append(sum(ci * terms[-1 - i] for i, ci in enumerate(c)))
+    return terms[:count]
+
+
+def test_batched_growth_matches_a_term_by_term_reference():
+    # the acceptance grid without the constant family, which never exceeds 1
+    grid = [t for t in expand_grid(range(0, 4), range(1, 5), 4)[0] if t != "1"]
+    for text in grid:
+        spec = parse_recurrence(text)
+        by_term, by_window, by_bound = (SequenceHandle(spec) for _ in range(3))
+        by_term.term(3)
+        by_term.term(70)
+        by_window.window(45)
+        by_bound.extend_until_exceeds(10**30)
+        for h in (by_term, by_window, by_bound):
+            n = len(h)
+            ref = reference_terms(spec, n)
+            terms, floors, index_of_value = h.tables(0)
+            assert list(terms) == ref, text
+            # floor m - 1 is min(G_m, G_{m+1}, ...), fixed once G_{m+order-1} is in
+            tail_minima = list(accumulate(reversed(ref), min))[::-1]
+            assert list(floors) == tail_minima[:len(floors)]
+            assert len(floors) == n - spec.order + 1
+            assert index_of_value == {g: i for i, g in enumerate(ref, 1)}
+            assert [h.term_sum(k) for k in range(n + 1)] == list(accumulate(ref, initial=0))
+            assert h.has_duplicate_values == (len(set(ref)) < n)

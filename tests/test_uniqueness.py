@@ -1,6 +1,8 @@
 import pytest
 
 from zecklab import (
+    CSV_HEADER,
+    ExperimentRecord,
     SequenceHandle,
     case1_slack_closed_form,
     construct_counterexample,
@@ -142,6 +144,28 @@ def test_probe_family_records():
     assert deep.status == "inconsistent"
     assert deep.counterexample_n == 27
     assert all(r.elapsed_ms >= 0 for r in records)
+
+
+def test_experiment_record_keeps_the_dataclass_behaviour():
+    rec = ExperimentRecord("0,2,2", 1, 3, 100)
+    assert rec == ExperimentRecord(
+        recurrence="0,2,2", s=1, L=3, bound=100, first_nonunique_n=None,
+        count_at_n=None, slack=None, counterexample_n=None, status="ok",
+        elapsed_ms=0, note="")
+    assert repr(rec) == (
+        "ExperimentRecord(recurrence='0,2,2', s=1, L=3, bound=100, "
+        "first_nonunique_n=None, count_at_n=None, slack=None, counterexample_n=None, "
+        "status='ok', elapsed_ms=0, note='')")
+    rec.count_at_n = 2
+    assert rec.count_at_n == 2 and rec != ExperimentRecord("0,2,2", 1, 3, 100)
+    with pytest.raises(TypeError):
+        hash(rec)
+    full = ExperimentRecord("0,2,2", 1, 3, 100, 2, 3, -8, 27, "inconsistent", 5, "a note")
+    assert dict(zip(CSV_HEADER.split(","), full.csv_cells(), strict=True)) == {
+        "recurrence": "0,2,2", "s": "1", "L": "3", "bound": "100",
+        "first_nonunique_N": "2", "count_at_N": "3", "lemma22": "-8",
+        "counterexample_N": "27", "status": "inconsistent", "elapsed_ms": "5"}
+    assert rec.csv_cells() == ["0,2,2", "1", "3", "100", "", "2", "", "", "ok", "0"]
 
 
 def test_probe_never_aborts_on_errors():
