@@ -8,8 +8,10 @@ then re-anchors at its own, strictly lower window.  A remainder that is a
 term value short-circuits to a bare summand: after a block, at the largest
 matching index below the block's stop index; for the target itself, at the
 largest matching index, unless that index sits below the window top and the
-grammar rejects the leading zeros.  Otherwise the block step runs.
-Each traced ``BlockStep`` is a NamedTuple, with tuple semantics.
+``word_is_legal`` scan rejects the leading zeros.  Otherwise the block step
+runs.  Each traced ``BlockStep`` (a NamedTuple) lists its block's takes as
+they are made.  ``is_legal`` judges a result by deriving it: the backward
+pass decides, and ``reject_at`` only explains a rejection.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ def greedy_decompose(
         raise ValueError("target must be >= 0")
     spec = handle.spec
     c, s, L = spec.coefficients, spec.depth, spec.order
+    # block positions i = depth+1 .. order and caps c_i; low anchors walk fewer
+    positions = [(i, c[i - 1]) for i in range(s + 1, L + 1)]
     # every remainder is <= n_value, so one extension covers every lookup
     terms, floors, index_of_value = handle.tables(n_value)
     out: dict[int, int] = {}
@@ -75,16 +79,20 @@ def greedy_decompose(
                 f"window {anchor} of remainder {remainder} did not drop below "
                 f"stop index {prev_stop}"
             )
-        taken = len(out)
-        for i in range(s + 1, min(L, anchor) + 1):  # indices j = anchor+1-i >= 1
-            j = anchor + 1 - i
+        takes = []  # (index, copies, term value), filled only when tracing
+        for i, cap in positions if anchor >= L else positions[:max(anchor - s, 0)]:
+            j = anchor + 1 - i  # >= 1
             g = terms[j - 1]
-            copies = min(remainder // g, c[i - 1])
+            copies = remainder // g
+            if copies >= cap:
+                copies = cap
             if copies:
                 assert j not in out
                 out[j] = copies
                 remainder -= copies * g
-            if copies < c[i - 1]:
+                if trace:
+                    takes.append((j, copies, g))
+            if copies < cap:
                 prev_stop = j
                 break
         else:
@@ -95,9 +103,8 @@ def greedy_decompose(
                     f"block at anchor {anchor} consumed all positions but left {remainder}"
                 )
         if steps is not None:
-            takes = tuple((j, m, terms[j - 1]) for j, m in list(out.items())[taken:])
             steps.append(BlockStep(kind="block", anchor=anchor,
-                                   takes=takes, remainder=remainder))
+                                   takes=tuple(takes), remainder=remainder))
     # every multiplicity is positive and every index >= 1
     result = Decomposition(tuple(sorted(out.items(), reverse=True)))
     return (result, steps) if trace else result

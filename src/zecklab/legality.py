@@ -19,8 +19,9 @@ word lies in 0..max(c, 1); a negative entry is never legal.
 Words are decided and derived in ``automaton``, which compiles these rules
 into the automata that the handle builds once and holds; this module
 re-exports ``word_is_legal`` and ``word_derivation``.  ``is_legal`` judges a
-decomposition: it scans its word first and asks for a derivation only when the
-word is legal; for an illegal word its reason says where the scan rejected it.
+decomposition by deriving its word: the derivation's backward pass decides
+legality, and only an illegal word is scanned by ``reject_at``, so that its
+reason can say where the automaton rejects it.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
@@ -53,7 +54,7 @@ class Decomposition:
     __match_args__ = ("summands",)
 
     def __init__(self, summands: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "summands", summands)
+        _set_summands(self, summands)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,6 +114,10 @@ class Decomposition:
         return bool(self.summands)
 
 
+# the slot's member descriptor sets it past the class's own __setattr__
+_set_summands = Decomposition.summands.__set__
+
+
 def parse_decomposition(text: str) -> Decomposition:
     """Parse "index:mult,index:mult,..." with strictly decreasing indices."""
     if text is None or not text.strip():
@@ -155,7 +160,10 @@ def canonicalize(vector: list[int] | tuple[int, ...], alignment: int) -> Decompo
 def evaluate(d: Decomposition, handle: SequenceHandle) -> int:
     """Value of the decomposition: sum of multiplicity * term."""
     terms = handle.terms(d.max_index)
-    return sum(mult * terms[idx - 1] for idx, mult in d.summands)
+    total = 0
+    for idx, mult in d.summands:
+        total += mult * terms[idx - 1]
+    return total
 
 
 class LegalityVerdict(NamedTuple):
@@ -196,18 +204,18 @@ def window_alignment(d: Decomposition, handle: SequenceHandle) -> int:
 
 
 def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
-    """Judge a decomposition against the grammar at its value's window.
-
-    The empty decomposition is legal for 0 by definition.
+    """Judge a decomposition against the grammar at its value's window: the
+    derivation's backward pass decides, and ``reject_at`` scans an illegal
+    word only to say where it dies.  The empty decomposition is legal for 0.
     """
     if not d:
         return LegalityVerdict(legal=True, alignment=0, blocks=())
     m = window_alignment(d, handle)
     word = d.dense(m)
-    at = reject_at(word, handle)
-    if not at:
-        blocks = word_derivation(word, handle)
+    blocks = word_derivation(word, handle)
+    if blocks is not None:
         return LegalityVerdict(legal=True, alignment=m, blocks=blocks)
+    at = reject_at(word, handle)
     where = (f"the automaton dies at position {at} on digit {word[at - 1]}" if at <= m
              else "the word ends in a non-accepting automaton state")
     return LegalityVerdict(

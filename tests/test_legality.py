@@ -23,7 +23,8 @@ from zecklab import (
     word_derivation,
     word_is_legal,
 )
-from zecklab.errors import AlignmentTooSmallError, DecompositionTextError
+from zecklab.automaton import reject_at
+from zecklab.errors import AlignmentTooSmallError, DecompositionTextError, NonProgressError
 
 POOL = ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "3,2,4", "1,1", "0,0,2,3"]
 # the acceptance grid: depth <= 3, span <= 4, coefficients <= 4
@@ -302,6 +303,59 @@ def test_automaton_matches_recognizer_on_large_coefficients(handles, text, word,
         expected = reference_derivation(w, h.spec)
         assert word_derivation(w, h) == expected
         assert word_is_legal(w, h) == (expected is not None)
+
+
+def test_derivation_blocks_are_whole_records(handles):
+    # blocks are built past the NamedTuple's __new__, whose defaults would
+    # otherwise hide a missing field: each must be a DerivationBlock with all
+    # five fields, t/coefficient/gap set exactly on block steps
+    words = [(text, list(word)) for text in POOL
+             for word in itertools.product(range(3), repeat=6)]
+    words += [(text, greedy_decompose(handles(text), n).dense(handles(text).top_index(n)))
+              for text in POOL for n in (164, 10**6 + 7, 3**200 + 11)]
+    derived = 0
+    for text, word in words:
+        blocks = word_derivation(word, handles(text))
+        for b in blocks or ():
+            derived += 1
+            assert type(b) is DerivationBlock and len(b) == 5, (text, word, b)
+            assert b == DerivationBlock(*b) and b._fields == DerivationBlock._fields
+            extras = (b.t, b.coefficient, b.gap)
+            if b.condition == 3:
+                assert all(type(x) is int for x in extras), (text, word, b)
+            else:
+                assert b.condition in (1, 2) and extras == (None, None, None)
+    assert derived > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRID), st.integers(1, 10**30), st.integers(0, 1 << 30))
+def test_verdicts_derive_first_and_explain_by_the_scan(handles, text, n, selector):
+    # is_legal decides by the derivation's backward pass and scans only an
+    # illegal word, for its reason.  Judge greedy results and copies with
+    # one summand bumped by 1, as the point-queries benchmark does.
+    h = handles(text)
+    try:
+        d = greedy_decompose(h, n)
+    except NonProgressError:
+        return  # the constant family 1 and some values of 0,0,0,1,0,0,1
+    summands = d.to_dict()
+    summands[sorted(summands)[selector % len(summands)]] += 1
+    for dec in (d, Decomposition.from_dict(summands)):
+        verdict = is_legal(dec, h)
+        m = verdict.alignment
+        assert m == window_alignment(dec, h)
+        word = dec.dense(m)
+        assert verdict.legal == word_is_legal(word, h)
+        if verdict.legal:
+            assert verdict.blocks == reference_derivation(word, h.spec)
+            assert verdict.reason is None
+        else:
+            at = reject_at(word, h)
+            where = (f"the automaton dies at position {at} on digit {word[at - 1]}"
+                     if at <= m else "the word ends in a non-accepting automaton state")
+            assert verdict.blocks is None and verdict.reason.endswith(where)
+            assert reference_derivation(word, h.spec) is None
 
 
 def test_derivation_memo_holds_only_the_moves_words_visit():
