@@ -204,7 +204,7 @@ def word_derivation(word, handle: SequenceHandle) -> tuple[DerivationBlock, ...]
     if q > _UNIT:  # the word ends inside a match: a short full prefix
         steps.append((2, tail + 1, None, None))
     ends = [start for _, start, _, _ in steps[1:]] + [len(suffix)]
-    # all five fields given: tuple.__new__ skips the NamedTuple's slow __new__
+    # all five fields are given, so skip the NamedTuple's Python-level __new__
     new = tuple.__new__
     return tuple([
         new(DerivationBlock, (cond, start, t, a, None if t is None else end - start - t))
