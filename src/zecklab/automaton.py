@@ -1,10 +1,9 @@
-"""The block grammar compiled to finite automata, which decide, derive and
-count words.  This module alone reads the automata's layout.
+"""The block grammar compiled to one finite automaton, which decides, derives,
+explains and counts words.  This module alone reads the automaton's layout.
 
 Legal coefficient words form a regular language (Frougny 1992; Shallit
-1994).  ``compile_automaton`` builds a small NFA for it from the rules in
-``legality`` and determinises it by subset construction, so ``word_is_legal``
-decides a word in one left-to-right scan with no backtracking.  NFA states:
+1994).  ``_nfa_moves`` is a small NFA for it, built from the rules in
+``legality``.  NFA states:
 
 * START: nothing read yet (accepting: the empty word is legal);
 * GAP: a block just closed; zeros extend its gap, and any digit may also
@@ -19,14 +18,22 @@ block (d < c_t, positive when t = 1 in a depth-0 family) or, at the start of
 a deep-family suffix, open a bare summand (d = 1).  Block positions t <= depth
 carry c_t = 0, so no digit closes a block there.
 
-``word_derivation`` reads a derivation off the same NFA: the DFA of reversed
-words gives the live NFA states before each suffix, and a forward walk takes
-the one live move per digit, extending a gap while a legal tail still follows.
-The tests pin both to a recursive recognizer that transcribes the rules.
-``count_accepted`` counts the legal words of one length by paths in the DFA.
+``compile_reverse_automaton`` determinises the NFA of reversed words by
+subset construction, the only DFA built: a suffix read backwards leads to a
+state whose live set holds the NFA states from which that suffix is accepted.
+A word is legal when START is live before all of it, so ``word_is_legal``
+decides it in one backward scan with no backtracking, and ``count_accepted``
+counts the legal words of one length by paths in the same DFA.
+``word_derivation`` reads a derivation off it: the backward pass gives the
+live NFA states before each suffix, and a forward walk takes the one live
+move per digit, extending a gap while a legal tail still follows.
+``reject_at`` explains a rejection by running the NFA forward over subsets
+from START, so that it names the first digit that leaves no state alive.
+The tests pin all four to a recursive recognizer that transcribes the rules,
+and ``reject_at``'s positions to a plain forward walk without the memo.
 
-Both builders are plain functions of the spec; each ``SequenceHandle`` builds
-its automata on first use and holds them, the derivation memo included.
+The builder is a plain function of the spec; each ``SequenceHandle`` builds
+its automaton on first use and holds it, the walks' memos included.
 """
 
 from __future__ import annotations
@@ -72,107 +79,94 @@ def _nfa_moves(spec: RecurrenceSpec, q: int, d: int) -> set[int]:
     return out
 
 
-def _nfa_accepting(spec: RecurrenceSpec, q: int) -> bool:
-    if q <= _UNIT:
-        return True
-    return spec.kind is Kind.PLRR or q - _UNIT > spec.depth
-
-
-def _determinise(start: frozenset[int], step, digits: range):
-    """(rows, subsets) by subset construction from ``start`` (index 0);
-    ``rows[k][d]`` indexes ``step(subsets[k], d)``, or is DEAD if it is empty."""
-    index = {start: 0}
-    subsets = [start]
-    rows: list[tuple[int, ...]] = []
-    for subset in subsets:  # grows while it is scanned: breadth-first
-        row = []
-        for d in digits:
-            nxt = step(subset, d)
-            if not nxt:
-                row.append(DEAD)
-                continue
-            if nxt not in index:
-                index[nxt] = len(subsets)
-                subsets.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return tuple(rows), subsets
-
-
-def compile_automaton(
-    spec: RecurrenceSpec,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
-    """(delta, accepting): the DFA of the spec's legal words over the digits
-    0..max(c, 1), by subset construction (not minimised).
-
-    ``delta[q][d]`` is the state after digit d in state q, or DEAD; state 0
-    is the start state, and a word ending in state q is legal when
-    ``accepting[q]`` is true.
-    """
-    delta, subsets = _determinise(
-        frozenset({_START}),
-        lambda subset, d: frozenset(r for q in subset for r in _nfa_moves(spec, q, d)),
-        range(max(spec.max_coefficient, 1) + 1))
-    accepting = tuple(any(_nfa_accepting(spec, q) for q in sub) for sub in subsets)
-    return delta, accepting
-
-
 def compile_reverse_automaton(spec: RecurrenceSpec):
-    """(moves, delta, live, step): ``moves[q][d]`` is the NFA move set; ``delta``
-    reads a suffix backwards from the accepting NFA states into a state r, and
-    ``live[r]`` holds the NFA states from which that suffix is accepted.
-    ``step[q][r][d]`` memoises the derivation walk's move from q on d when the
-    rest of the word is in r, as met: a dense table would grow with max(c)."""
+    """(moves, delta, live, step, forward): the DFA of reversed legal words over
+    the digits 0..max(c, 1), by subset construction (not minimised).
+
+    ``moves[q][d]`` is the NFA move set.  ``delta[r][d]`` is the state after
+    reading digit d backwards in state r, or DEAD; state 0 is the start, and
+    ``live[r]`` holds the NFA states from which the suffix read so far is
+    accepted, so ``live[0]`` holds the accepting ones.  Two memos fill as walks
+    meet their entries, since a dense table would grow with max(c):
+    ``step[q][r][d]`` is the derivation walk's move from q on d when the rest
+    of the word is in r, and ``forward[subset][d]`` is the NFA subset that
+    ``reject_at`` reaches from ``subset`` on d, paired with its own row."""
     digits = range(max(spec.max_coefficient, 1) + 1)
     states = range(_UNIT + spec.order)
     moves = tuple(tuple(frozenset(_nfa_moves(spec, q, d)) for d in digits)
                   for q in states)
-    delta, live = _determinise(
-        frozenset(q for q in states if _nfa_accepting(spec, q)),
-        lambda subset, d: frozenset(q for q in states if moves[q][d] & subset),
-        digits)
-    return moves, delta, live, [[{} for _ in live] for _ in states]
+    accepting = frozenset(q for q in states if q <= _UNIT or spec.kind is Kind.PLRR
+                          or q - _UNIT > spec.depth)
+    index = {accepting: 0}
+    live = [accepting]
+    delta = []
+    for subset in live:  # grows while it is scanned: breadth-first
+        row = []
+        for d in digits:
+            before = frozenset(q for q in states if moves[q][d] & subset)
+            row.append(index.setdefault(before, len(index)) if before else DEAD)
+            if len(index) > len(live):  # a new subset: scan it too
+                live.append(before)
+        delta.append(tuple(row))
+    return moves, tuple(delta), live, [[{} for _ in live] for _ in states], {}
 
 
 def reject_at(word, handle: SequenceHandle) -> int:
-    """Where one scan of the handle's automaton rejects the word: the 1-based
-    position of the digit that takes it to DEAD, len(word) + 1 if it ends in a
-    non-accepting state, or 0 if it accepts."""
-    delta, accepting = handle.automaton
+    """Where the NFA, run forward over subsets from START, rejects the word:
+    the 1-based position of the digit that leaves no state alive (or lies
+    outside 0..max(c, 1)), len(word) + 1 if it ends in no accepting state, or
+    0 if it accepts."""
+    moves, delta, live, _, forward = handle.reverse_automaton
     cap = len(delta[0]) - 1
-    state = n = 0
+    subset = frozenset({_START})
+    row = forward.setdefault(subset, {})
+    n = 0
     for d in word:
         n += 1
-        if not 0 <= d <= cap or (state := delta[state][d]) == DEAD:
+        if (nxt := row.get(d)) is None:  # a digit outside 0..cap is never a key
+            if not 0 <= d <= cap:
+                return n
+            after = frozenset().union(*[moves[q][d] for q in subset])
+            nxt = row[d] = after, forward.setdefault(after, {})
+        subset, row = nxt
+        if not subset:
             return n
-    return 0 if accepting[state] else n + 1
+    return 0 if subset & live[0] else n + 1
 
 
 def word_is_legal(word, handle: SequenceHandle) -> bool:
-    """Decide the grammar on a dense coefficient word (value-blind).  An entry
+    """Decide the grammar on a dense coefficient word (value-blind) by one
+    backward scan: it is legal when START is live before all of it.  An entry
     outside 0..max(c, 1) rejects the word."""
-    return not reject_at(word, handle)
+    _, delta, live, _, _ = handle.reverse_automaton
+    cap = len(delta[0]) - 1
+    r = 0
+    for d in reversed(word):
+        if not 0 <= d <= cap or (r := delta[r][d]) == DEAD:
+            return False
+    return _START in live[r]
 
 
 def count_accepted(handle: SequenceHandle, n: int) -> int:
-    """The number of legal length-n words: length-n paths in the handle's DFA
-    from the start state to an accepting state."""
-    delta, accepting = handle.automaton
-    paths = [1] + [0] * (len(delta) - 1)  # paths[q]: words read so far ending in q
+    """The number of legal length-n words: length-n paths in the reversed DFA
+    from state 0 to a state where START is live.  Reversing a word is a
+    bijection, so the reversed words are counted instead."""
+    _, delta, live, _, _ = handle.reverse_automaton
+    paths = [1] + [0] * (len(delta) - 1)  # paths[r]: suffixes read so far ending in r
     for _ in range(n):
         nxt = [0] * len(delta)
-        for q, k in enumerate(paths):
-            for r in delta[q]:
-                if r != DEAD:
-                    nxt[r] += k
+        for r, k in enumerate(paths):
+            for to in delta[r]:
+                if to != DEAD:
+                    nxt[to] += k
         paths = nxt
-    return sum(k for k, acc in zip(paths, accepting) if acc)
+    return sum(k for k, states in zip(paths, live) if _START in states)
 
 
 def word_derivation(word, handle: SequenceHandle) -> tuple[DerivationBlock, ...] | None:
     """The derivation of a legal word, or None if it has none."""
     word = list(word)
-    moves, delta, live, step = handle.reverse_automaton
+    moves, delta, live, step, _ = handle.reverse_automaton
     cap = len(delta[0]) - 1
     r = 0
     suffix = [r]

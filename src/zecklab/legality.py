@@ -16,12 +16,13 @@ from the grammar:
 The empty decomposition is legal (it represents 0).  Every entry of a legal
 word lies in 0..max(c, 1); a negative entry is never legal.
 
-Words are decided and derived in ``automaton``, which compiles these rules
-into the automata that the handle builds once and holds; this module
-re-exports ``word_is_legal`` and ``word_derivation``.  ``is_legal`` judges a
-decomposition by deriving its word: the derivation's backward pass decides
-legality, and only an illegal word is scanned by ``reject_at``, so that its
-reason can say where the automaton rejects it.
+Words are decided, derived and explained in ``automaton``, which compiles
+these rules into one automaton, the DFA of reversed legal words, that the
+handle builds once and holds; this module re-exports ``word_is_legal`` and
+``word_derivation``.  ``is_legal`` judges a decomposition by deriving its
+word: the derivation's backward pass decides legality, and only an illegal
+word is run forward by ``reject_at``, so that its reason can say at which
+digit the automaton dies.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning

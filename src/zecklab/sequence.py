@@ -7,12 +7,13 @@ the Lagonacci family); later terms follow the recurrence exactly.
 The handle holds all per-family state and shares none with other handles:
 the term cache, append-only and grown on read (``term``, ``window`` and
 ``top_index`` extend it); ``word_memo``, the words ``enumerate_legal`` has
-generated; and the legality automata, built on first use, the reversed one
-with the derivation walk's memo.  Nothing else attaches state to a handle.
-A handle is not thread-safe, so use one handle per thread.
-``tables(bound)`` returns the handle's own term list, window floors and
-value->index map for loops that would call ``term``/``top_index`` per step.
-Those views and both automata are read-only: a caller must never write them.
+generated; and the legality automaton, the DFA of reversed legal words, built
+on first use with the memos of the derivation walk and of ``reject_at``.
+Nothing else attaches state to a handle.  A handle is not thread-safe, so use
+one handle per thread.  ``tables(bound)`` returns the handle's own term list,
+window floors and value->index map for loops that would call
+``term``/``top_index`` per step.  Those views and the automaton are
+read-only: a caller must never write them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 
-from .automaton import compile_automaton, compile_reverse_automaton
+from .automaton import compile_reverse_automaton
 from .errors import NonProgressError
 from .recurrence import Kind, RecurrenceSpec, parse_recurrence
 
@@ -137,11 +138,6 @@ class SequenceHandle:
         ``bisect_right(floors, v)`` and ``index_of_value(v)`` is ``.get(v)``."""
         self.extend_until_exceeds(bound)
         return self._terms, self._floors, self._index_of_value
-
-    @cached_property
-    def automaton(self):
-        """``compile_automaton(spec)``, built on first use; read-only."""
-        return compile_automaton(self.spec)
 
     @cached_property
     def reverse_automaton(self):

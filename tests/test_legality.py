@@ -23,7 +23,7 @@ from zecklab import (
     word_derivation,
     word_is_legal,
 )
-from zecklab.automaton import reject_at
+from zecklab.automaton import _START, _UNIT, _nfa_moves, count_accepted, reject_at
 from zecklab.errors import AlignmentTooSmallError, DecompositionTextError, NonProgressError
 
 POOL = ["0,2,2", "0,1,1", "0,2,1,2", "0,0,1,4", "3,2,4", "1,1", "0,0,2,3"]
@@ -150,6 +150,23 @@ def reference_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, .
     return tuple(blocks)
 
 
+def reference_reject_at(word, spec: RecurrenceSpec) -> int:
+    """``reject_at``'s meaning, walked plainly over NFA subsets from START with
+    no memo: the 1-based position of the digit that leaves no state alive or
+    lies outside 0..max(c, 1), len(word) + 1 if the word ends in no accepting
+    state, or 0 if it accepts."""
+    cap = max(spec.max_coefficient, 1)
+    subset = {_START}
+    for n, d in enumerate(word, 1):
+        subset = {r for q in subset for r in _nfa_moves(spec, q, d)} if 0 <= d <= cap else set()
+        if not subset:
+            return n
+    # START, GAP and UNIT accept, and MATCH_i when c_1..c_i is a short full prefix
+    if any(q <= _UNIT or spec.kind is Kind.PLRR or q - _UNIT > spec.depth for q in subset):
+        return 0
+    return len(word) + 1
+
+
 # --- decomposition plumbing -------------------------------------------------
 
 def test_decomposition_keeps_the_frozen_record_behaviour():
@@ -261,8 +278,8 @@ def test_words_with_negative_entries_are_illegal(word, text, handles):
 
 def test_automaton_matches_recognizer_on_the_grid_exhaustively():
     # every word of length <= 4 over 0..cap+1, cap = max(c, 1), on all 1940
-    # families: both automata against the recursive recognizer, derivations
-    # compared whole
+    # families: the verdict and the derivation against the recursive
+    # recognizer, derivations compared whole
     assert len(GRID) == 1940
     for text in GRID:
         h = SequenceHandle.from_text(text)
@@ -284,6 +301,8 @@ def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
     expected = reference_derivation(word, h.spec)
     assert word_derivation(word, h) == expected
     assert word_is_legal(word, h) == (expected is not None)
+    at = reference_reject_at(word, h.spec)
+    assert reject_at(word, h) == at and (at == 0) == (expected is not None)
 
 
 # large coefficients: digits near 0, 1 and c decide the moves, so draw those
@@ -303,6 +322,8 @@ def test_automaton_matches_recognizer_on_large_coefficients(handles, text, word,
         expected = reference_derivation(w, h.spec)
         assert word_derivation(w, h) == expected
         assert word_is_legal(w, h) == (expected is not None)
+        at = reference_reject_at(w, h.spec)
+        assert reject_at(w, h) == at and (at == 0) == (expected is not None)
 
 
 def test_derivation_blocks_are_whole_records(handles):
@@ -331,9 +352,10 @@ def test_derivation_blocks_are_whole_records(handles):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(GRID), st.integers(1, 10**30), st.integers(0, 1 << 30))
 def test_verdicts_derive_first_and_explain_by_the_scan(handles, text, n, selector):
-    # is_legal decides by the derivation's backward pass and scans only an
-    # illegal word, for its reason.  Judge greedy results and copies with
-    # one summand bumped by 1, as the point-queries benchmark does.
+    # is_legal decides by the derivation's backward pass and runs only an
+    # illegal word forward, for its reason.  Judge greedy results and copies
+    # with one summand bumped by 1, as the point-queries benchmark does; the
+    # reason's position comes from the memo-free reference walk.
     h = handles(text)
     try:
         d = greedy_decompose(h, n)
@@ -347,11 +369,12 @@ def test_verdicts_derive_first_and_explain_by_the_scan(handles, text, n, selecto
         assert m == window_alignment(dec, h)
         word = dec.dense(m)
         assert verdict.legal == word_is_legal(word, h)
+        at = reference_reject_at(word, h.spec)
+        assert reject_at(word, h) == at
         if verdict.legal:
             assert verdict.blocks == reference_derivation(word, h.spec)
-            assert verdict.reason is None
+            assert verdict.reason is None and at == 0
         else:
-            at = reject_at(word, h)
             where = (f"the automaton dies at position {at} on digit {word[at - 1]}"
                      if at <= m else "the word ends in a non-accepting automaton state")
             assert verdict.blocks is None and verdict.reason.endswith(where)
@@ -375,20 +398,40 @@ def test_derivation_memo_holds_only_the_moves_words_visit():
 
 
 def test_each_handle_owns_its_automata():
-    # two handles of one spec share nothing: deriving or enumerating on one
-    # leaves the other's derivation memo and word memo empty, and each builds
-    # its automata once
+    # two handles of one spec share nothing: deriving, explaining or
+    # enumerating on one leaves the other's derivation memo, forward-step memo
+    # and word memo empty, and each builds its automaton once
     a, b = SequenceHandle.from_text("0,2,2"), SequenceHandle.from_text("0,2,2")
     assert is_legal(greedy_decompose(a, 164), a).legal
+    assert not a.reverse_automaton[4]  # a legal verdict explains nothing
+    illegal = parse_decomposition("8:3,7:1")
+    verdict = is_legal(illegal, a)
+    word = illegal.dense(verdict.alignment)
+    assert not verdict.legal
     assert enumerate_legal(a, 164)
     assert any(memo for row in a.reverse_automaton[3] for memo in row)
     assert not any(memo for row in b.reverse_automaton[3] for memo in row)
+    # one forward step per digit the explanation read, each on a digit of the word
+    forward = a.reverse_automaton[4]
+    steps = [d for row in forward.values() for d in row]
+    assert 0 < len(steps) <= reference_reject_at(word, a.spec)
+    assert set(steps) <= set(word)
+    assert not b.reverse_automaton[4]
     assert a.word_memo and not b.word_memo
     for h in (a, b):
-        assert h.automaton is h.automaton
         assert h.reverse_automaton is h.reverse_automaton
-    assert a.automaton is not b.automaton
     assert a.reverse_automaton is not b.reverse_automaton
+
+
+def test_count_accepted_matches_the_recognizer(handles):
+    # every length-n word over 0..max(c, 1), deep families included
+    for text in POOL:
+        h = handles(text)
+        digits = range(max(h.spec.max_coefficient, 1) + 1)
+        for n in range(5):
+            legal = sum(reference_derivation(word, h.spec) is not None
+                        for word in itertools.product(digits, repeat=n))
+            assert count_accepted(h, n) == legal, (text, n)
 
 
 @settings(max_examples=400, deadline=None)
