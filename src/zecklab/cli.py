@@ -1,5 +1,12 @@
 """Command-line front end.
 
+``main`` builds the SequenceHandle from ``--rec`` and runs the command, which
+returns ``(payload, lines, code)``: the dict that ``--json`` prints, the text
+lines read off it, and the exit code.  ``main`` alone prints, either the
+payload as JSON or the lines (a ``_Stderr`` line to stderr).  ``scan``,
+``lemma22``, ``probe`` (which streams its CSV) and failures return no payload,
+so their lines print either way.
+
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
 a malformed option, a term index above MAX_INDEX or an unwritable --out path,
 3 scan exhausted under --expect-find, 4 internal inconsistency (oracle
@@ -75,207 +82,164 @@ def _count(text: str) -> int:
     return count
 
 
-def _handle_for(args) -> SequenceHandle:
-    return SequenceHandle(parse_recurrence(args.rec))
+class _Stderr(str):
+    """A text line that main prints on stderr, not stdout."""
 
 
-def _decomp_json(d, handle):
-    return {
-        "summands": [
-            {"index": idx, "mult": mult, "value": str(handle.term(idx))}
-            for idx, mult in d.summands
-        ]
+def _cmd_seq(args, handle):
+    payload = {
+        "recurrence": handle.spec.text,
+        "terms": [str(t) for t in handle.terms(args.count)],
+        "duplicate_values": handle.has_duplicate_values,
     }
+    lines = [" ".join(payload["terms"])]
+    if payload["duplicate_values"]:
+        lines.append(_Stderr("note: the sequence repeats a value at two indices"))
+    return payload, lines, EXIT_OK
 
 
-def _cmd_seq(args) -> int:
-    handle = _handle_for(args)
-    terms = handle.terms(args.count)
-    if args.json:
-        print(json.dumps({
-            "recurrence": handle.spec.text,
-            "terms": [str(t) for t in terms],
-            "duplicate_values": handle.has_duplicate_values,
-        }))
-    else:
-        print(" ".join(str(t) for t in terms))
-        if handle.has_duplicate_values:
-            print("note: the sequence repeats a value at two indices", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_decompose(args) -> int:
-    handle = _handle_for(args)
-    n = args.n
+def _cmd_decompose(args, handle):
     if args.trace:
-        decomp, steps = greedy_decompose(handle, n, trace=True)
+        decomp, steps = greedy_decompose(handle, args.n, trace=True)
     else:
-        decomp = greedy_decompose(handle, n)
+        decomp = greedy_decompose(handle, args.n)
     # is_legal's verdict, without building the derivation it would discard
     legal = word_is_legal(decomp.dense(window_alignment(decomp, handle)), handle)
-    if args.json:
-        payload = {"n": str(n), **_decomp_json(decomp, handle), "legal": legal}
-        if args.trace:
-            payload["trace"] = [
-                {
-                    "kind": step.kind,
-                    "anchor": step.anchor,
-                    "takes": [
-                        {"index": i, "copies": k, "value": str(g)}
-                        for i, k, g in step.takes
-                    ],
-                    "remainder": str(step.remainder),
-                }
-                for step in steps
-            ]
-        print(json.dumps(payload))
-    else:
-        pieces = " + ".join(f"{m}*G_{i}({handle.term(i)})" for i, m in decomp.summands)
-        print(f"{n} = {pieces or '0'}  [{'legal' if legal else 'ILLEGAL'}]")
-        if args.trace:
-            for step in steps:
-                if step.kind == "unit":
-                    print(f"  exact term: G_{step.anchor}")
-                else:
-                    takes = ", ".join(f"{k}*G_{i}({g})" for i, k, g in step.takes)
-                    print(f"  anchor {step.anchor}: took {takes or 'nothing'};"
-                          f" remainder {step.remainder}")
-    if not legal:
+    payload = {
+        "n": str(args.n),
+        "summands": [{"index": i, "mult": m, "value": str(handle.term(i))}
+                     for i, m in decomp.summands],
+        "legal": legal,
+    }
+    pieces = " + ".join(f"{s['mult']}*G_{s['index']}({s['value']})"
+                        for s in payload["summands"])
+    lines = [f"{payload['n']} = {pieces or '0'}  [{'legal' if legal else 'ILLEGAL'}]"]
+    if args.trace:
+        payload["trace"] = [
+            {
+                "kind": step.kind,
+                "anchor": step.anchor,
+                "takes": [
+                    {"index": i, "copies": k, "value": str(g)}
+                    for i, k, g in step.takes
+                ],
+                "remainder": str(step.remainder),
+            }
+            for step in steps
+        ]
+        for step in payload["trace"]:
+            if step["kind"] == "unit":
+                lines.append(f"  exact term: G_{step['anchor']}")
+            else:
+                takes = ", ".join(f"{t['copies']}*G_{t['index']}({t['value']})"
+                                  for t in step["takes"])
+                lines.append(f"  anchor {step['anchor']}: took {takes or 'nothing'};"
+                             f" remainder {step['remainder']}")
+    if not legal:  # a diagnostic in either form, so neither payload nor lines
         print("greedy output failed the legality check", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+    return payload, lines, EXIT_OK if legal else EXIT_INCONSISTENT
 
 
-def _cmd_check(args) -> int:
-    handle = _handle_for(args)
+def _cmd_check(args, handle):
     decomp = parse_decomposition(args.decomp)
     if decomp.max_index > MAX_INDEX:
         raise DecompositionTextError(f"index above the cap {MAX_INDEX}")
     value = evaluate(decomp, handle)
     verdict = is_legal(decomp, handle)
-    if args.json:
-        payload = {
-            "decomposition": str(decomp),
-            "value": str(value),
-            "legal": verdict.legal,
-            "alignment": verdict.alignment,
-        }
-        if verdict.blocks is not None:
-            payload["derivation"] = [
-                {k: v for k, v in b._asdict().items() if v is not None}
-                for b in verdict.blocks
-            ]
-        if verdict.reason:
-            payload["reason"] = verdict.reason
-        print(json.dumps(payload))
-    else:
-        print(f"value {value}, alignment {verdict.alignment}: "
-              f"{'legal' if verdict.legal else 'illegal'}")
-        if verdict.blocks:
-            for b in verdict.blocks:
-                extra = "" if b.condition != 3 else (
-                    f" t={b.t} coeff={b.coefficient} gap={b.gap}")
-                print(f"  condition {b.condition} at position {b.start}{extra}")
-        elif verdict.reason:
-            print(f"  {verdict.reason}")
-    return EXIT_OK
+    payload = {
+        "decomposition": str(decomp),
+        "value": str(value),
+        "legal": verdict.legal,
+        "alignment": verdict.alignment,
+    }
+    lines = [f"value {payload['value']}, alignment {payload['alignment']}: "
+             f"{'legal' if payload['legal'] else 'illegal'}"]
+    if verdict.blocks is not None:  # legal, so there is no reason
+        payload["derivation"] = [
+            {k: v for k, v in b._asdict().items() if v is not None}
+            for b in verdict.blocks
+        ]
+        for b in payload["derivation"]:
+            extra = (f" t={b['t']} coeff={b['coefficient']} gap={b['gap']}"
+                     if b["condition"] == 3 else "")
+            lines.append(f"  condition {b['condition']} at position {b['start']}{extra}")
+    if verdict.reason:
+        payload["reason"] = verdict.reason
+        lines.append(f"  {verdict.reason}")
+    return payload, lines, EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
-    handle = _handle_for(args)
+def _cmd_enumerate(args, handle):
     n = args.n
     grammar = sorted(enumerate_legal(handle, n, args.budget), key=str)
-    result = grammar
     if args.oracle:
         oracle = sorted(naive_oracle(handle, n), key=str)
         if oracle != grammar:
-            print(
+            return None, [_Stderr(
                 "INCONSISTENT: oracle and grammar enumerations disagree for "
-                f"N={n}: {list(map(str, oracle))} vs {list(map(str, grammar))}",
-                file=sys.stderr,
-            )
-            return EXIT_INCONSISTENT
-        result = oracle
-    if args.json:
-        print(json.dumps({
-            "n": str(n),
-            "count": len(result),
-            "decompositions": [str(d) for d in result],
-        }))
-    else:
-        print(f"{len(result)} legal decomposition(s) of {n}")
-        for d in result:
-            print(f"  {d or '(empty)'}")
-    return EXIT_OK
+                f"N={n}: {list(map(str, oracle))} vs {list(map(str, grammar))}"
+            )], EXIT_INCONSISTENT
+    payload = {
+        "n": str(n),
+        "count": len(grammar),
+        "decompositions": [str(d) for d in grammar],
+    }
+    lines = [f"{payload['count']} legal decomposition(s) of {payload['n']}"]
+    lines += [f"  {d or '(empty)'}" for d in payload["decompositions"]]
+    return payload, lines, EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    handle = _handle_for(args)
+def _cmd_scan(args, handle):
     report = verify_uniqueness_range(handle, args.max, args.budget)
     if report.all_unique:
-        print(f"no value in 1..{args.max} has two legal decompositions"
-              if args.mode == "nonunique" else
-              f"all values 1..{args.max} have a unique legal decomposition")
+        lines = [f"no value in 1..{args.max} has two legal decompositions"
+                 if args.mode == "nonunique" else
+                 f"all values 1..{args.max} have a unique legal decomposition"]
     elif args.mode == "nonunique":
         value, count = report.violation
-        print(f"N={value} has {count} decompositions: "
-              + "; ".join(str(d) for d in report.witnesses))
+        lines = [f"N={value} has {count} decompositions: "
+                 + "; ".join(str(d) for d in report.witnesses)]
     else:
         value, count = report.violation
-        print("=" * 60)
-        print(f"RESEARCH FINDING: uniqueness fails for {handle.spec.text} "
-              f"at N={value} ({count} decompositions)")
-        for d in report.witnesses:
-            print(f"  {d}")
-        print("=" * 60)
-    return EXIT_NOT_FOUND if args.expect_find and report.all_unique else EXIT_OK
+        lines = ["=" * 60,
+                 f"RESEARCH FINDING: uniqueness fails for {handle.spec.text} "
+                 f"at N={value} ({count} decompositions)",
+                 *(f"  {d}" for d in report.witnesses),
+                 "=" * 60]
+    code = EXIT_NOT_FOUND if args.expect_find and report.all_unique else EXIT_OK
+    return None, lines, code
 
 
-def _cmd_lemma22(args) -> int:
-    handle = _handle_for(args)
-    try:
-        slack = construction_slack(handle)
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}")
-        return EXIT_OK
-    print(f"slack = {slack} ({'negative as required' if slack < 0 else 'NOT NEGATIVE'})")
+def _cmd_lemma22(args, handle):
+    slack = construction_slack(handle)
+    verdict = "negative as required" if slack < 0 else "NOT NEGATIVE"
+    lines = [f"slack = {slack} ({verdict})"]
     if handle.spec.order == handle.spec.depth + 2:
-        print(f"closed form check: {case1_slack_closed_form(handle)}")
-    return EXIT_OK if slack < 0 else EXIT_INCONSISTENT
+        lines.append(f"closed form check: {case1_slack_closed_form(handle)}")
+    return None, lines, EXIT_OK if slack < 0 else EXIT_INCONSISTENT
 
 
-def _cmd_counterexample(args) -> int:
-    handle = _handle_for(args)
-    try:
-        report = construct_counterexample(handle, args.budget)
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}")
-        return EXIT_OK
-    except ConstructionFailedError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        for key, val in sorted(exc.diagnostics.items()):
-            print(f"  {key}: {val}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    if args.json:
-        print(json.dumps({
-            "n": str(report.n_value),
-            "x": str(report.x),
-            "decompA": str(report.decompA),
-            "decompB": str(report.decompB),
-            "window_ok": report.window_ok,
-            "count_at_n": report.count_at_n,
-            "direct_pair_legal": report.direct_pair_legal,
-        }))
-    else:
-        print(f"N = {report.n_value} (x = {report.x}, window ok: {report.window_ok})")
-        print(f"  A: {report.decompA}")
-        print(f"  B: {report.decompB}")
-        print(f"  total legal decompositions of N: {report.count_at_n}")
-        if not report.direct_pair_legal:
-            print("  note: the construction's direct second candidate "
-                  f"{report.direct_candidate} is not grammar-legal; "
-                  "B was found by enumeration")
-    return EXIT_OK
+def _cmd_counterexample(args, handle):
+    report = construct_counterexample(handle, args.budget)
+    payload = {
+        "n": str(report.n_value),
+        "x": str(report.x),
+        "decompA": str(report.decompA),
+        "decompB": str(report.decompB),
+        "window_ok": report.window_ok,
+        "count_at_n": report.count_at_n,
+        "direct_pair_legal": report.direct_pair_legal,
+    }
+    lines = [f"N = {payload['n']} (x = {payload['x']}, "
+             f"window ok: {payload['window_ok']})",
+             f"  A: {payload['decompA']}",
+             f"  B: {payload['decompB']}",
+             f"  total legal decompositions of N: {payload['count_at_n']}"]
+    if not payload["direct_pair_legal"]:
+        lines.append("  note: the construction's direct second candidate "
+                     f"{report.direct_candidate} is not grammar-legal; "
+                     "B was found by enumeration")
+    return payload, lines, EXIT_OK
 
 
 def _parse_range(text: str, kind=_natural) -> list[int]:
@@ -304,14 +268,14 @@ def _grid(text: str) -> tuple[list[int], list[int], int]:
     return depths, spans, coefficients[-1]
 
 
-def _cmd_probe(args) -> int:
-    # open the output first: an unusable path fails before the sweep runs
+def _cmd_probe(args, handle):
+    # streams its rows; open the output first, so an unusable path fails
+    # before the sweep runs
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
-        print(f"error: argument --out: cannot write {args.out!r}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_BAD_DECOMP
+        return None, [_Stderr(f"error: argument --out: cannot write {args.out!r}: "
+                              f"{exc.strerror}")], EXIT_BAD_DECOMP
     records = []
     try:
         texts, skipped = expand_grid(*args.grid)
@@ -331,10 +295,9 @@ def _cmd_probe(args) -> int:
         if args.out:
             out.close()
     findings = [r for r in records if r.status != "ok"]
-    if findings:
-        print(f"{len(findings)} of {len(records)} families reported a non-ok "
-              "status; inspect the CSV", file=sys.stderr)
-    return EXIT_INCONSISTENT if len(records) < len(texts) else EXIT_OK
+    lines = [_Stderr(f"{len(findings)} of {len(records)} families reported a non-ok "
+                     "status; inspect the CSV")] if findings else []
+    return None, lines, EXIT_INCONSISTENT if len(records) < len(texts) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,30 +359,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
-        sys.set_int_max_str_digits(0)  # read and print integers of any length
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # a command that enumerates: --budget, else ZECKLAB_BUDGET, else the default
-    if "budget" in vars(args) and args.budget is None:
-        raw = os.environ.get("ZECKLAB_BUDGET") or str(DEFAULT_GRAMMAR_BUDGET)
-        if not (raw.isascii() and raw.isdigit()):
-            parser.error(f"ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")
-        args.budget = int(raw)
+    # read and print integers of any length (the limit exists from Python 3.10.7)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except RecurrenceError as exc:
-        print(f"invalid recurrence: {exc}", file=sys.stderr)
-        return EXIT_BAD_RECURRENCE
-    except DecompositionTextError as exc:
-        print(f"invalid decomposition: {exc}", file=sys.stderr)
-        return EXIT_BAD_DECOMP
-    except (BudgetExceededError, OracleBoundExceededError) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ZecklabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # a command that enumerates: --budget, else ZECKLAB_BUDGET, else the default
+        if "budget" in vars(args) and args.budget is None:
+            raw = os.environ.get("ZECKLAB_BUDGET") or str(DEFAULT_GRAMMAR_BUDGET)
+            if not (raw.isascii() and raw.isdigit()):
+                parser.error(f"ZECKLAB_BUDGET must be a non-negative integer, got {raw!r}")
+            args.budget = int(raw)
+        try:
+            rec = vars(args).get("rec")  # every command but probe
+            handle = None if rec is None else SequenceHandle(parse_recurrence(rec))
+            payload, lines, code = args.func(args, handle)
+        except RecurrenceError as exc:
+            print(f"invalid recurrence: {exc}", file=sys.stderr)
+            return EXIT_BAD_RECURRENCE
+        except DecompositionTextError as exc:
+            print(f"invalid decomposition: {exc}", file=sys.stderr)
+            return EXIT_BAD_DECOMP
+        except (BudgetExceededError, OracleBoundExceededError) as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except NotApplicableError as exc:  # an answer, not a failure
+            print(f"not applicable: {exc}")
+            return EXIT_OK
+        except ConstructionFailedError as exc:
+            print(f"construction failed: {exc}", file=sys.stderr)
+            for key, val in sorted(exc.diagnostics.items()):
+                print(f"  {key}: {val}", file=sys.stderr)
+            return EXIT_INCONSISTENT
+        except ZecklabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INCONSISTENT
+        if payload is not None and args.json:
+            print(json.dumps(payload))
+        else:
+            for line in lines:
+                print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
+        return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

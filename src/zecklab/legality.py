@@ -129,8 +129,8 @@ def parse_decomposition(text: str) -> Decomposition:
         piece = part.strip()
         if ":" not in piece:
             raise DecompositionTextError(f"expected index:mult, got {piece!r}")
-        left, _, right = piece.partition(":")
-        if not left.strip().isdigit() or not right.strip().isdigit():
+        left, _, right = (t.strip() for t in piece.partition(":"))
+        if not all(t.isascii() and t.isdigit() for t in (left, right)):
             raise DecompositionTextError(f"expected index:mult, got {piece!r}")
         idx, mult = int(left), int(right)
         if idx < 1 or mult < 1:

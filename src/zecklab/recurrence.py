@@ -76,7 +76,7 @@ def parse_recurrence(text: str) -> RecurrenceSpec:
     tokens = [t.strip() for t in text.split(",")]
     coeffs = []
     for tok in tokens:
-        if not tok or not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise NonIntegerTokenError(f"not a non-negative integer: {tok!r}")
         coeffs.append(int(tok))
     if all(c == 0 for c in coeffs):

@@ -53,12 +53,7 @@ class SequenceHandle:
         self.spec = spec
         self._terms: list[int] = _prescribed_terms(spec)
         # largest index seen for each value; duplicates resolve upward
-        self._index_of_value: dict[int, int] = {}
-        self._duplicate_values = False
-        for i, g in enumerate(self._terms, 1):
-            if g in self._index_of_value:
-                self._duplicate_values = True
-            self._index_of_value[g] = i
+        self._index_of_value = {g: i for i, g in enumerate(self._terms, 1)}
         # cumulative term sums, used for enumeration value bounds
         self._cumsum = [0]
         for g in self._terms:
@@ -78,7 +73,7 @@ class SequenceHandle:
 
     @property
     def has_duplicate_values(self) -> bool:
-        return self._duplicate_values
+        return len(self._index_of_value) < len(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -97,8 +92,6 @@ class SequenceHandle:
                 nxt += c * terms[back]
             terms.append(nxt)
             k += 1
-            if nxt in index_of_value:
-                self._duplicate_values = True
             index_of_value[nxt] = k
             total += nxt
             cumsum.append(total)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -12,6 +13,118 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+NOT_APPLICABLE = ("not applicable: 0,1,1: construction needs a deep family with lead > "
+                  "depth, positive second coefficient and last coefficient > 1\n")
+CONSTRUCTION_FAILED = "".join(f"{line}\n" for line in [
+    "construction failed: N = 27 admits no second legal decomposition (count = 1)",
+    "  count_at_n: 1",
+    "  decompA: 5:2,4:1,1:1",
+    "  decompA_legal: True",
+    "  direct_candidate: 5:2,3:2,1:1",
+    "  direct_candidate_legal: False",
+    "  legal_decompositions: ['5:2,4:1,1:1']",
+    "  n_value: 27",
+    "  recurrence: 0,2,2",
+    "  window: (18, 32)",
+    "  window_ok: True",
+    "  x: 1",
+    "  x_cap: 4",
+])
+SUMMANDS_164 = ('"summands": [{"index": 8, "mult": 2, "value": "56"}, '
+                '{"index": 7, "mult": 1, "value": "32"}, '
+                '{"index": 5, "mult": 2, "value": "10"}]')
+BANNER = "=" * 60 + "\n"
+
+# (command line, exit code, stdout, stderr), each pinned byte for byte
+GOLDEN = [
+    ("seq --rec 0,0,1,1 --count 8", 0, "1 2 3 4 3 5 7 7\n",
+     "note: the sequence repeats a value at two indices\n"),
+    ("seq --rec 0,0,1,1 --count 8 --json", 0,
+     '{"recurrence": "0,0,1,1", "terms": ["1", "2", "3", "4", "3", "5", "7", "7"], '
+     '"duplicate_values": true}\n', ""),
+    ("seq --rec 0,1,1 --count 9", 0, "1 2 4 3 6 7 9 13 16\n", ""),
+    ("decompose --rec 0,2,2 --n 164", 0,
+     "164 = 2*G_8(56) + 1*G_7(32) + 2*G_5(10)  [legal]\n", ""),
+    ("decompose --rec 0,2,2 --n 164 --json", 0,
+     '{"n": "164", ' + SUMMANDS_164 + ', "legal": true}\n', ""),
+    ("decompose --rec 0,2,2 --n 164 --trace", 0,
+     "164 = 2*G_8(56) + 1*G_7(32) + 2*G_5(10)  [legal]\n"
+     "  anchor 9: took 2*G_8(56), 1*G_7(32); remainder 20\n"
+     "  anchor 6: took 2*G_5(10); remainder 0\n", ""),
+    ("decompose --rec 0,2,2 --n 164 --trace --json", 0,
+     '{"n": "164", ' + SUMMANDS_164 + ', "legal": true, "trace": ['
+     '{"kind": "block", "anchor": 9, "takes": [{"index": 8, "copies": 2, "value": "56"}, '
+     '{"index": 7, "copies": 1, "value": "32"}], "remainder": "20"}, '
+     '{"kind": "block", "anchor": 6, "takes": [{"index": 5, "copies": 2, "value": "10"}], '
+     '"remainder": "0"}]}\n', ""),
+    ("decompose --rec 0,1,1 --n 0", 0, "0 = 0  [legal]\n", ""),
+    ("decompose --rec 0,1,1 --n 0 --json", 0,
+     '{"n": "0", "summands": [], "legal": true}\n', ""),
+    ("decompose --rec 1,1 --n 13 --trace", 0,
+     "13 = 1*G_6(13)  [legal]\n  exact term: G_6\n", ""),
+    ("decompose --rec 1,1 --n 13 --trace --json", 0,
+     '{"n": "13", "summands": [{"index": 6, "mult": 1, "value": "13"}], "legal": true, '
+     '"trace": [{"kind": "unit", "anchor": 6, "takes": [], "remainder": "0"}]}\n', ""),
+    ("check --rec 0,2,2 --decomp 8:2,7:1,5:2", 0,
+     "value 164, alignment 9: legal\n"
+     "  condition 3 at position 1 t=3 coeff=1 gap=0\n"
+     "  condition 3 at position 4 t=3 coeff=0 gap=3\n", ""),
+    ("check --rec 0,2,2 --decomp 8:2,7:1,5:2 --json", 0,
+     '{"decomposition": "8:2,7:1,5:2", "value": "164", "legal": true, "alignment": 9, '
+     '"derivation": [{"condition": 3, "start": 1, "t": 3, "coefficient": 1, "gap": 0}, '
+     '{"condition": 3, "start": 4, "t": 3, "coefficient": 0, "gap": 3}]}\n', ""),
+    ("check --rec 0,1,1 --decomp 5:1,3:1", 0,
+     "value 10, alignment 7: illegal\n"
+     "  no grammar derivation for word [0, 0, 1, 0, 1, 0, 0] at window alignment 7: "
+     "the automaton dies at position 5 on digit 1\n", ""),
+    ("check --rec 0,1,1 --decomp 5:1,3:1 --json", 0,
+     '{"decomposition": "5:1,3:1", "value": "10", "legal": false, "alignment": 7, '
+     '"reason": "no grammar derivation for word [0, 0, 1, 0, 1, 0, 0] at window '
+     'alignment 7: the automaton dies at position 5 on digit 1"}\n', ""),
+    ("check --rec 0,1,1 --decomp=", 0, "value 0, alignment 0: legal\n", ""),
+    ("check --rec 0,1,1 --decomp= --json", 0,
+     '{"decomposition": "", "value": "0", "legal": true, "alignment": 0, '
+     '"derivation": []}\n', ""),
+    ("check --rec 0,0,1,4 --decomp 4:1", 0,
+     "value 4, alignment 4: legal\n  condition 1 at position 1\n", ""),
+    ("check --rec 0,0,1,4 --decomp 4:1 --json", 0,
+     '{"decomposition": "4:1", "value": "4", "legal": true, "alignment": 4, '
+     '"derivation": [{"condition": 1, "start": 1}]}\n', ""),
+    ("check --rec 0,0 --decomp 5:1,7:2", 1, "",
+     "invalid recurrence: all coefficients are zero\n"),
+    ("check --rec 0,2,2 --decomp 5:1,7:2 --json", 2, "",
+     "invalid decomposition: indices must be strictly decreasing\n"),
+    ("enumerate --rec 0,1,1 --n 7", 0,
+     "2 legal decomposition(s) of 7\n  5:1,1:1\n  6:1\n", ""),
+    ("enumerate --rec 0,1,1 --n 7 --json", 0,
+     '{"n": "7", "count": 2, "decompositions": ["5:1,1:1", "6:1"]}\n', ""),
+    ("enumerate --rec 0,1,1 --n 7 --oracle", 0,
+     "2 legal decomposition(s) of 7\n  5:1,1:1\n  6:1\n", ""),
+    ("enumerate --rec 0,1,1 --n 7 --oracle --json", 0,
+     '{"n": "7", "count": 2, "decompositions": ["5:1,1:1", "6:1"]}\n', ""),
+    ("enumerate --rec 0,1,1 --n 0", 0, "1 legal decomposition(s) of 0\n  (empty)\n", ""),
+    ("scan --rec 1,1 --max 50", 0, "no value in 1..50 has two legal decompositions\n", ""),
+    ("scan --rec 1,1 --max 50 --mode unique --expect-find", 3,
+     "all values 1..50 have a unique legal decomposition\n", ""),
+    ("scan --rec 0,1,1 --max 100", 0, "N=7 has 2 decompositions: 5:1,1:1; 6:1\n", ""),
+    ("scan --rec 0,0,1,4 --max 50 --mode unique", 0,
+     BANNER + "RESEARCH FINDING: uniqueness fails for 0,0,1,4 at N=4 (2 decompositions)\n"
+     "  2:1,1:2\n  4:1\n" + BANNER, ""),
+    ("lemma22 --rec 0,2,2", 0, "slack = -8 (negative as required)\nclosed form check: -8\n", ""),
+    ("lemma22 --rec 0,2,1,2", 0, "slack = -22 (negative as required)\n", ""),
+    ("lemma22 --rec 0,1,1", 0, NOT_APPLICABLE, ""),
+    ("counterexample --rec 0,1,1", 0, NOT_APPLICABLE, ""),
+    ("counterexample --rec 0,1,1 --json", 0, NOT_APPLICABLE, ""),
+    ("counterexample --rec 0,2,2", 4, "", CONSTRUCTION_FAILED),
+    ("counterexample --rec 0,2,2 --json", 4, "", CONSTRUCTION_FAILED),
+]
+
+
+@pytest.mark.parametrize("line,code,out,err", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_command_output_is_pinned(line, code, out, err, capsys):
+    assert run(capsys, *line.split()) == (code, out, err)
 
 
 def test_seq_example(capsys):
@@ -301,7 +414,35 @@ def test_integers_past_4300_digits_print_in_full(capsys):
     code, out, _ = run(capsys, "check", "--rec", "9,9", "--decomp", "5000:1", "--json")
     assert code == 0
     value = json.loads(out)["value"]
-    assert len(value) > 4300 and int(value) == SequenceHandle.from_text("9,9").term(5000)
+    # main restores the digit limit on return, so lift it here for the parse
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(value) > 4300 and int(value) == SequenceHandle.from_text("9,9").term(5000)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ["seq", "--rec", "1000000000", "--count", "500"],
+    ["seq", "--rec", "0,1,0,1", "--count", "5"],
+    ["seq", "--rec", "1,1", "--count", "-1"],
+])
+def test_main_restores_the_digit_limit(argv, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("argv,tail", [

@@ -213,7 +213,8 @@ def test_parse_decomposition_round_trip():
     assert parse_decomposition("") == Decomposition()
 
 
-@pytest.mark.parametrize("bad", ["8:2,9:1", "8", "a:1", "8:0", "0:3", "8:2,8:1"])
+@pytest.mark.parametrize("bad", ["8:2,9:1", "8", "a:1", "8:0", "0:3", "8:2,8:1",
+                                 "²:1", "3:²", "٣:1"])
 def test_parse_decomposition_rejects(bad):
     with pytest.raises(DecompositionTextError):
         parse_decomposition(bad)

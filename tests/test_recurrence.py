@@ -52,6 +52,9 @@ def test_parse_single_coefficient():
         ("0,a,2", NonIntegerTokenError),
         ("-1,2", NonIntegerTokenError),
         ("1.5", NonIntegerTokenError),
+        ("0,²,2", NonIntegerTokenError),
+        ("1,①", NonIntegerTokenError),
+        ("0,٢,2", NonIntegerTokenError),
         ("0,2,0", TrailingZeroError),
         ("0,0,0", AllZeroError),
         ("0,1,0,1", DegenerateError),
