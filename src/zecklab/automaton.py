@@ -18,22 +18,23 @@ block (d < c_t, positive when t = 1 in a depth-0 family) or, at the start of
 a deep-family suffix, open a bare summand (d = 1).  Block positions t <= depth
 carry c_t = 0, so no digit closes a block there.
 
-``compile_reverse_automaton`` determinises the NFA of reversed words by
-subset construction, the only DFA built: a suffix read backwards leads to a
-state whose live set holds the NFA states from which that suffix is accepted.
-A word is legal when START is live before all of it, so ``word_is_legal``
-decides it in one backward scan with no backtracking, and ``count_accepted``
-counts the legal words of one length by paths in the same DFA.
-``word_derivation`` reads a derivation off it: the backward pass gives the
-live NFA states before each suffix, and a forward walk takes the one live
-move per digit, extending a gap while a legal tail still follows.
-``reject_at`` explains a rejection by running the NFA forward over subsets
-from START, so that it names the first digit that leaves no state alive.
-The tests pin all four to a recursive recognizer that transcribes the rules,
-and ``reject_at``'s positions to a plain forward walk without the memo.
+``compile_reverse_automaton`` returns the start states of two subset
+automata over that NFA, built as walks read them (``SubsetState``), so cost
+grows with the words read, not with the coefficients.  The backward one
+reads a word from its end, and a suffix leads to the NFA states from which
+it is accepted: ``word_is_legal`` decides a word in one scan (legal when
+START is live before all of it), and ``count_accepted`` counts the legal
+words of one length by paths.  ``word_derivation`` reads a derivation off
+it: the backward pass gives the live NFA states before each suffix, and a
+forward walk takes the one live move per digit, extending a gap while a
+legal tail still follows.  The forward one runs the NFA over subsets from
+START, so ``reject_at`` names the first digit that leaves no state alive.
+The tests pin all four to a recursive recognizer that transcribes the
+rules, and ``reject_at``'s positions to a plain forward walk.
 
-The builder is a plain function of the spec; each ``SequenceHandle`` builds
-its automaton on first use and holds it, the walks' memos included.
+Each ``SequenceHandle`` makes the start states on first use and holds them.
+Reads fill the automata and the derivation walk's memos; callers never
+write them, and a handle and its automata belong to one thread.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ if TYPE_CHECKING:
     from .sequence import SequenceHandle
 
 _START, _GAP, _UNIT = 0, 1, 2  # MATCH_i is state _UNIT + i
-DEAD = -1
 
 
 class DerivationBlock(NamedTuple):
@@ -79,110 +79,110 @@ def _nfa_moves(spec: RecurrenceSpec, q: int, d: int) -> set[int]:
     return out
 
 
-def compile_reverse_automaton(spec: RecurrenceSpec):
-    """(moves, delta, live, step, forward): the DFA of reversed legal words over
-    the digits 0..max(c, 1), by subset construction (not minimised).
+class SubsetState(dict):
+    """A set of NFA states, ``subset``, as a dict from each digit read in it
+    to the next state (None: no NFA state survives).  A first read takes one
+    subset step; a digit outside 0..max(c, 1) reads None and is never stored.
+    A backward state's ``memo[q]`` maps a digit to the derivation walk's move
+    from q when the rest of the word leads to this state."""
 
-    ``moves[q][d]`` is the NFA move set.  ``delta[r][d]`` is the state after
-    reading digit d backwards in state r, or DEAD; state 0 is the start, and
-    ``live[r]`` holds the NFA states from which the suffix read so far is
-    accepted, so ``live[0]`` holds the accepting ones.  Two memos fill as walks
-    meet their entries, since a dense table would grow with max(c):
-    ``step[q][r][d]`` is the derivation walk's move from q on d when the rest
-    of the word is in r, and ``forward[subset][d]`` is the NFA subset that
-    ``reject_at`` reaches from ``subset`` on d, paired with its own row."""
-    digits = range(max(spec.max_coefficient, 1) + 1)
-    states = range(_UNIT + spec.order)
-    moves = tuple(tuple(frozenset(_nfa_moves(spec, q, d)) for d in digits)
-                  for q in states)
-    accepting = frozenset(q for q in states if q <= _UNIT or spec.kind is Kind.PLRR
-                          or q - _UNIT > spec.depth)
-    index = {accepting: 0}
-    live = [accepting]
-    delta = []
-    for subset in live:  # grows while it is scanned: breadth-first
-        row = []
-        for d in digits:
-            before = frozenset(q for q in states if moves[q][d] & subset)
-            row.append(index.setdefault(before, len(index)) if before else DEAD)
-            if len(index) > len(live):  # a new subset: scan it too
-                live.append(before)
-        delta.append(tuple(row))
-    return moves, tuple(delta), live, [[{} for _ in live] for _ in states], {}
+    __slots__ = ("subset", "memo", "_automaton")
+    # as a dict a state is falsy until read and equals any state with the
+    # same reads: compare and hash by identity, and test reads against None
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, subset: frozenset[int], automaton: tuple):
+        super().__init__()
+        spec, backward, seen = automaton  # seen: subset -> its state, one per direction
+        self.subset, self._automaton = subset, automaton
+        self.memo = [{} for _ in range(_UNIT + spec.order)] if backward else None
+        seen[subset] = self
+
+    def __missing__(self, d: int) -> SubsetState | None:
+        spec, backward, seen = self._automaton
+        if not 0 <= d <= max(spec.max_coefficient, 1):
+            return None
+        moves = [_nfa_moves(spec, q, d) for q in range(_UNIT + spec.order)]
+        if backward:  # the NFA states whose move on d meets the subset
+            after = frozenset(q for q, to in enumerate(moves) if to & self.subset)
+        else:
+            after = frozenset().union(*[moves[q] for q in self.subset])
+        to = seen.get(after) if after else None
+        if after and to is None:
+            to = SubsetState(after, self._automaton)
+        self[d] = to
+        return to
+
+
+def compile_reverse_automaton(spec: RecurrenceSpec) -> tuple[SubsetState, SubsetState]:
+    """(backward, forward): the start states, whose subsets hold the accepting
+    NFA states and START.  Walks make every other state as they reach it."""
+    accepting = frozenset(q for q in range(_UNIT + spec.order) if q <= _UNIT
+                          or spec.kind is Kind.PLRR or q - _UNIT > spec.depth)
+    return (SubsetState(accepting, (spec, True, {})),
+            SubsetState(frozenset({_START}), (spec, False, {})))
 
 
 def reject_at(word, handle: SequenceHandle) -> int:
-    """Where the NFA, run forward over subsets from START, rejects the word:
-    the 1-based position of the digit that leaves no state alive (or lies
-    outside 0..max(c, 1)), len(word) + 1 if it ends in no accepting state, or
-    0 if it accepts."""
-    moves, delta, live, _, forward = handle.reverse_automaton
-    cap = len(delta[0]) - 1
-    subset = frozenset({_START})
-    row = forward.setdefault(subset, {})
+    """Where the forward automaton rejects the word: the 1-based position of
+    the digit that leaves no NFA state alive (or lies outside 0..max(c, 1)),
+    len(word) + 1 if it ends in no accepting state, or 0 if it accepts."""
+    backward, state = handle.reverse_automaton
     n = 0
     for d in word:
         n += 1
-        if (nxt := row.get(d)) is None:  # a digit outside 0..cap is never a key
-            if not 0 <= d <= cap:
-                return n
-            after = frozenset().union(*[moves[q][d] for q in subset])
-            nxt = row[d] = after, forward.setdefault(after, {})
-        subset, row = nxt
-        if not subset:
+        if (state := state[d]) is None:
             return n
-    return 0 if subset & live[0] else n + 1
+    return 0 if state.subset & backward.subset else n + 1
 
 
 def word_is_legal(word, handle: SequenceHandle) -> bool:
     """Decide the grammar on a dense coefficient word (value-blind) by one
     backward scan: it is legal when START is live before all of it.  An entry
     outside 0..max(c, 1) rejects the word."""
-    _, delta, live, _, _ = handle.reverse_automaton
-    cap = len(delta[0]) - 1
-    r = 0
+    state = handle.reverse_automaton[0]
     for d in reversed(word):
-        if not 0 <= d <= cap or (r := delta[r][d]) == DEAD:
+        if (state := state[d]) is None:
             return False
-    return _START in live[r]
+    return _START in state.subset
 
 
 def count_accepted(handle: SequenceHandle, n: int) -> int:
-    """The number of legal length-n words: length-n paths in the reversed DFA
-    from state 0 to a state where START is live.  Reversing a word is a
-    bijection, so the reversed words are counted instead."""
-    _, delta, live, _, _ = handle.reverse_automaton
-    paths = [1] + [0] * (len(delta) - 1)  # paths[r]: suffixes read so far ending in r
+    """The number of legal length-n words, counted reversed (a bijection) as
+    length-n paths in the backward automaton from its start to a state where
+    START is live.  Each state reached reads every digit 0..max(c, 1)."""
+    digits = range(max(handle.spec.max_coefficient, 1) + 1)
+    paths = {handle.reverse_automaton[0]: 1}  # state: suffixes read so far that end in it
     for _ in range(n):
-        nxt = [0] * len(delta)
-        for r, k in enumerate(paths):
-            for to in delta[r]:
-                if to != DEAD:
-                    nxt[to] += k
+        nxt = {}
+        for state, k in paths.items():
+            for d in digits:
+                if (to := state[d]) is not None:
+                    nxt[to] = nxt.get(to, 0) + k
         paths = nxt
-    return sum(k for k, states in zip(paths, live) if _START in states)
+    return sum(k for state, k in paths.items() if _START in state.subset)
 
 
 def word_derivation(word, handle: SequenceHandle) -> tuple[DerivationBlock, ...] | None:
     """The derivation of a legal word, or None if it has none."""
     word = list(word)
-    moves, delta, live, step, _ = handle.reverse_automaton
-    cap = len(delta[0]) - 1
-    r = 0
-    suffix = [r]
+    state = handle.reverse_automaton[0]
+    suffix = [state]
     for d in reversed(word):
-        if not 0 <= d <= cap or (r := delta[r][d]) == DEAD:
+        if (state := state[d]) is None:
             return None
-        suffix.append(r)
-    if _START not in live[r]:
+        suffix.append(state)
+    if _START not in state.subset:
         return None
-    suffix.reverse()  # suffix[j]: reverse state after word[j:]
+    suffix.reverse()  # suffix[j]: backward state after word[j:]
+    spec = handle.spec
     steps = []  # (condition, start, t, coefficient), gaps filled in below
     q = tail = _START  # tail: 0-based position where the current suffix opened
     for j, d in enumerate(word):
-        memo = step[q][suffix[j + 1]]
+        rest = suffix[j + 1]
+        memo = rest.memo[q]
         if (to := memo.get(d)) is None:
-            nxt = moves[q][d] & live[suffix[j + 1]]
+            nxt = _nfa_moves(spec, q, d) & rest.subset
             # extend the gap while a legal tail follows, else the one live move
             (to,) = {_GAP} if q == _GAP and d == 0 and _GAP in nxt else nxt
             memo[d] = to

@@ -5,7 +5,8 @@ returns ``(payload, lines, code)``: the dict that ``--json`` prints, the text
 lines read off it, and the exit code.  ``main`` alone prints, either the
 payload as JSON or the lines (a ``_Stderr`` line to stderr).  ``scan``,
 ``lemma22``, ``probe`` (which streams its CSV) and failures return no payload,
-so their lines print either way.
+so their lines print either way.  A command that does not apply to the family
+answers ``{"applicable": false, "reason": ...}`` under ``--json``.
 
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
 a malformed option, a term index above MAX_INDEX or an unwritable --out path,
@@ -386,8 +387,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         except NotApplicableError as exc:  # an answer, not a failure
-            print(f"not applicable: {exc}")
-            return EXIT_OK
+            payload = {"applicable": False, "reason": str(exc)}
+            lines, code = [f"not applicable: {exc}"], EXIT_OK
         except ConstructionFailedError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             for key, val in sorted(exc.diagnostics.items()):
@@ -396,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         except ZecklabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INCONSISTENT
-        if payload is not None and args.json:
+        if payload is not None and vars(args).get("json"):  # lemma22 has no --json
             print(json.dumps(payload))
         else:
             for line in lines:

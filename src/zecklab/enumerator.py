@@ -126,7 +126,7 @@ def naive_oracle(
     # coefficients of legal words never exceed max(c, 1)
     cap = max(handle.spec.max_coefficient, 1)
     terms = [handle.term(i) for i in range(1, top + 1)]
-    max_below = [cap * handle.term_sum(i) for i in range(top + 1)]
+    max_below = [handle.max_word_value(i) for i in range(top + 1)]
     out: set[Decomposition] = set()
     word = [0] * top
 

@@ -17,8 +17,8 @@ The empty decomposition is legal (it represents 0).  Every entry of a legal
 word lies in 0..max(c, 1); a negative entry is never legal.
 
 Words are decided, derived and explained in ``automaton``, which compiles
-these rules into one automaton, the DFA of reversed legal words, that the
-handle builds once and holds; this module re-exports ``word_is_legal`` and
+these rules into an NFA and determinises it by subsets as the handle's
+words are read; this module re-exports ``word_is_legal`` and
 ``word_derivation``.  ``is_legal`` judges a decomposition by deriving its
 word: the derivation's backward pass decides legality, and only an illegal
 word is run forward by ``reject_at``, so that its reason can say at which

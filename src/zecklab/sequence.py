@@ -7,13 +7,13 @@ the Lagonacci family); later terms follow the recurrence exactly.
 The handle holds all per-family state and shares none with other handles:
 the term cache, append-only and grown on read (``term``, ``window`` and
 ``top_index`` extend it); ``word_memo``, the words ``enumerate_legal`` has
-generated; and the legality automaton, the DFA of reversed legal words, built
-on first use with the memos of the derivation walk and of ``reject_at``.
-Nothing else attaches state to a handle.  A handle is not thread-safe, so use
-one handle per thread.  ``tables(bound)`` returns the handle's own term list,
-window floors and value->index map for loops that would call
-``term``/``top_index`` per step.  Those views and the automaton are
-read-only: a caller must never write them.
+generated; and the legality automata, whose start states it makes on first
+use and whose other states, derivation memos included, the walks in
+``automaton`` add as they read.  Nothing else attaches state to a handle.
+Reads fill the handle, so it is not thread-safe: use one handle per thread.
+``tables(bound)`` returns the handle's own term list, window floors and
+value->index map for loops that would call ``term``/``top_index`` per step.
+Callers read those views and the automata and never write them.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class SequenceHandle:
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
+        self._cap = max(spec.max_coefficient, 1)  # no legal word has a larger entry
         self._terms: list[int] = _prescribed_terms(spec)
         # largest index seen for each value; duplicates resolve upward
         self._index_of_value = {g: i for i, g in enumerate(self._terms, 1)}
@@ -134,7 +135,8 @@ class SequenceHandle:
 
     @cached_property
     def reverse_automaton(self):
-        """``compile_reverse_automaton(spec)``, built on first use; read-only."""
+        """``compile_reverse_automaton(spec)``: the (backward, forward) start
+        states, made on first use; reads fill them, callers never write them."""
         return compile_reverse_automaton(self.spec)
 
     def top_index(self, n_value: int) -> int:
@@ -173,5 +175,4 @@ class SequenceHandle:
         prefixes use c_i, a block position stays below its cap, and a bare
         summand uses 1.
         """
-        cap = max(self.spec.max_coefficient, 1)
-        return cap * self.term_sum(m)
+        return self._cap * self.term_sum(m)

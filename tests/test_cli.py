@@ -116,7 +116,9 @@ GOLDEN = [
     ("lemma22 --rec 0,2,1,2", 0, "slack = -22 (negative as required)\n", ""),
     ("lemma22 --rec 0,1,1", 0, NOT_APPLICABLE, ""),
     ("counterexample --rec 0,1,1", 0, NOT_APPLICABLE, ""),
-    ("counterexample --rec 0,1,1 --json", 0, NOT_APPLICABLE, ""),
+    ("counterexample --rec 0,1,1 --json", 0,
+     '{"applicable": false, "reason": "0,1,1: construction needs a deep family with lead > '
+     'depth, positive second coefficient and last coefficient > 1"}\n', ""),
     ("counterexample --rec 0,2,2", 4, "", CONSTRUCTION_FAILED),
     ("counterexample --rec 0,2,2 --json", 4, "", CONSTRUCTION_FAILED),
 ]

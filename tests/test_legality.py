@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +149,18 @@ def reference_derivation(word, spec: RecurrenceSpec) -> tuple[DerivationBlock, .
         )
         p = next_p
     return tuple(blocks)
+
+
+def states_read(start) -> set:
+    """Every state of one automaton that reads so far have made, by a walk
+    from its start state along the digits it has read."""
+    seen, todo = {start}, [start]
+    while todo:
+        for to in todo.pop().values():
+            if to is not None and to not in seen:
+                seen.add(to)
+                todo.append(to)
+    return seen
 
 
 def reference_reject_at(word, spec: RecurrenceSpec) -> int:
@@ -307,12 +320,13 @@ def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
 
 
 # large coefficients: digits near 0, 1 and c decide the moves, so draw those
-# often; a dense digit table would hold states x 1001 x reverse states moves.
-# Random words seldom need the reverse state to pick a move, so each example
+# often; a dense digit table would hold states x (c + 1) x backward states moves.
+# Random words seldom need the backward state to pick a move, so each example
 # also checks a greedy word, which is legal and long.
-LARGE = ["0,1000,1000", "1000,1"]
-LARGE_DIGITS = st.one_of(st.sampled_from([0, 0, 0, 1, 2, 998, 999, 1000, 1001]),
-                         st.integers(-1, 1001))
+LARGE = ["0,1000,1000", "1000,1", "0,1000000,1000000", "1000000,1"]
+LARGE_DIGITS = st.one_of(
+    st.sampled_from([0, 0, 0, 1, 2, 998, 999, 1000, 1001, 999999, 10**6, 10**6 + 1]),
+    st.integers(-1, 1001), st.integers(-1, 10**6 + 1))
 
 
 @settings(max_examples=400, deadline=None)
@@ -390,8 +404,8 @@ def test_derivation_memo_holds_only_the_moves_words_visit():
     for word in words:
         blocks = word_derivation(word, h)
         assert blocks is not None and blocks == reference_derivation(word, h.spec)
-    memo = h.reverse_automaton[3]
-    digits = [d for row in memo for moves in row for d in moves]
+    digits = [d for state in states_read(h.reverse_automaton[0])
+              for moves in state.memo for d in moves]
     # one (q, d, r) triple per position of a word at most, each on a digit
     # some word holds
     assert 0 < len(digits) <= sum(map(len, words))
@@ -400,28 +414,52 @@ def test_derivation_memo_holds_only_the_moves_words_visit():
 
 def test_each_handle_owns_its_automata():
     # two handles of one spec share nothing: deriving, explaining or
-    # enumerating on one leaves the other's derivation memo, forward-step memo
-    # and word memo empty, and each builds its automaton once
+    # enumerating on one leaves the other's automata, derivation memos and
+    # word memo empty, and each makes its automata once
     a, b = SequenceHandle.from_text("0,2,2"), SequenceHandle.from_text("0,2,2")
     assert is_legal(greedy_decompose(a, 164), a).legal
-    assert not a.reverse_automaton[4]  # a legal verdict explains nothing
+    backward, forward = a.reverse_automaton
+    assert not forward  # a legal verdict leaves the forward automaton unread
     illegal = parse_decomposition("8:3,7:1")
     verdict = is_legal(illegal, a)
     word = illegal.dense(verdict.alignment)
     assert not verdict.legal
     assert enumerate_legal(a, 164)
-    assert any(memo for row in a.reverse_automaton[3] for memo in row)
-    assert not any(memo for row in b.reverse_automaton[3] for memo in row)
+    assert any(memo for state in states_read(backward) for memo in state.memo)
+    assert not any(b.reverse_automaton)
     # one forward step per digit the explanation read, each on a digit of the word
-    forward = a.reverse_automaton[4]
-    steps = [d for row in forward.values() for d in row]
+    steps = [d for state in states_read(forward) for d in state]
     assert 0 < len(steps) <= reference_reject_at(word, a.spec)
     assert set(steps) <= set(word)
-    assert not b.reverse_automaton[4]
     assert a.word_memo and not b.word_memo
     for h in (a, b):
         assert h.reverse_automaton is h.reverse_automaton
-    assert a.reverse_automaton is not b.reverse_automaton
+    assert not {*states_read(backward), *states_read(forward)} & {*b.reverse_automaton}
+
+
+def test_automata_hold_only_the_digits_words_read():
+    # a coefficient of 10^5 costs no row of 10^5 digits: both automata hold
+    # only the digits the judged words contain, whatever the coefficients
+    tracemalloc.start()
+    try:
+        h = SequenceHandle.from_text("0,100000,100000")
+        judged = [parse_decomposition("2:1,1:1"), greedy_decompose(h, 10**40 + 7)]
+        verdicts = [is_legal(d, h) for d in judged]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    assert [v.legal for v in verdicts] == [False, True]
+    assert verdicts[0].reason.endswith("dies at position 2 on digit 1")
+    digits = {d for dec, v in zip(judged, verdicts) for d in dec.dense(v.alignment)}
+    # a digit outside 0..max(c, 1) reads None and is never stored
+    assert not word_is_legal([100001], h) and reject_at([-1], h) == 1
+    for start in h.reverse_automaton:
+        states = states_read(start)
+        assert len({state.subset for state in states}) == len(states)  # one state per subset
+        for state in states:
+            assert set(state) <= digits
+            assert all(set(moves) <= digits for moves in state.memo or ())
 
 
 def test_count_accepted_matches_the_recognizer(handles):
