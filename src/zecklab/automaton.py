@@ -82,9 +82,9 @@ def _nfa_moves(spec: RecurrenceSpec, q: int, d: int) -> set[int]:
 class SubsetState(dict):
     """A set of NFA states, ``subset``, as a dict from each digit read in it
     to the next state (None: no NFA state survives).  A first read takes one
-    subset step; a digit outside 0..max(c, 1) reads None and is never stored.
-    A backward state's ``memo[q]`` maps a digit to the derivation walk's move
-    from q when the rest of the word leads to this state."""
+    subset step; an entry equal to no digit 0..max(c, 1) reads None and is
+    never stored.  A backward state's ``memo[q]`` maps a digit to the
+    derivation walk's move from q when the rest of the word leads to it."""
 
     __slots__ = ("subset", "memo", "_automaton")
     # as a dict a state is falsy until read and equals any state with the
@@ -100,7 +100,7 @@ class SubsetState(dict):
 
     def __missing__(self, d: int) -> SubsetState | None:
         spec, backward, seen = self._automaton
-        if not 0 <= d <= max(spec.max_coefficient, 1):
+        if not 0 <= d <= spec.max_digit or d != int(d):
             return None
         moves = [_nfa_moves(spec, q, d) for q in range(_UNIT + spec.order)]
         if backward:  # the NFA states whose move on d meets the subset
@@ -125,7 +125,7 @@ def compile_reverse_automaton(spec: RecurrenceSpec) -> tuple[SubsetState, Subset
 
 def reject_at(word, handle: SequenceHandle) -> int:
     """Where the forward automaton rejects the word: the 1-based position of
-    the digit that leaves no NFA state alive (or lies outside 0..max(c, 1)),
+    the entry that leaves no NFA state alive (or equals no digit 0..max(c, 1)),
     len(word) + 1 if it ends in no accepting state, or 0 if it accepts."""
     backward, state = handle.reverse_automaton
     n = 0
@@ -139,7 +139,7 @@ def reject_at(word, handle: SequenceHandle) -> int:
 def word_is_legal(word, handle: SequenceHandle) -> bool:
     """Decide the grammar on a dense coefficient word (value-blind) by one
     backward scan: it is legal when START is live before all of it.  An entry
-    outside 0..max(c, 1) rejects the word."""
+    equal to no digit 0..max(c, 1) rejects the word."""
     state = handle.reverse_automaton[0]
     for d in reversed(word):
         if (state := state[d]) is None:
@@ -151,7 +151,7 @@ def count_accepted(handle: SequenceHandle, n: int) -> int:
     """The number of legal length-n words, counted reversed (a bijection) as
     length-n paths in the backward automaton from its start to a state where
     START is live.  Each state reached reads every digit 0..max(c, 1)."""
-    digits = range(max(handle.spec.max_coefficient, 1) + 1)
+    digits = range(handle.spec.max_digit + 1)
     paths = {handle.reverse_automaton[0]: 1}  # state: suffixes read so far that end in it
     for _ in range(n):
         nxt = {}

@@ -123,8 +123,7 @@ def naive_oracle(
     if n_value == 0:
         return {Decomposition()}
     top = handle.top_index(n_value)
-    # coefficients of legal words never exceed max(c, 1)
-    cap = max(handle.spec.max_coefficient, 1)
+    cap = handle.spec.max_digit
     terms = [handle.term(i) for i in range(1, top + 1)]
     max_below = [handle.max_word_value(i) for i in range(top + 1)]
     out: set[Decomposition] = set()

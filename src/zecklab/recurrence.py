@@ -61,6 +61,13 @@ class RecurrenceSpec(NamedTuple):
     def max_coefficient(self) -> int:
         return max(self.coefficients)
 
+    @property
+    def max_digit(self) -> int:
+        """max(c, 1), the largest entry of any legal word: matched prefixes
+        use c_i, a block position stays below its cap, and a bare summand
+        uses 1."""
+        return max(self.max_coefficient, 1)
+
     def __str__(self) -> str:
         return self.text
 

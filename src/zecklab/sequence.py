@@ -51,7 +51,7 @@ class SequenceHandle:
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        self._cap = max(spec.max_coefficient, 1)  # no legal word has a larger entry
+        self._max_digit = spec.max_digit  # read once: max_word_value is on hot loops
         self._terms: list[int] = _prescribed_terms(spec)
         # largest index seen for each value; duplicates resolve upward
         self._index_of_value = {g: i for i, g in enumerate(self._terms, 1)}
@@ -169,10 +169,6 @@ class SequenceHandle:
         return self._cumsum[n]
 
     def max_word_value(self, m: int) -> int:
-        """Upper bound on the value of any legal length-m coefficient word.
-
-        Every coefficient of a legal word is at most max(c, 1): matched
-        prefixes use c_i, a block position stays below its cap, and a bare
-        summand uses 1.
-        """
-        return self._cap * self.term_sum(m)
+        """Upper bound on the value of any legal length-m coefficient word:
+        every entry is at most ``spec.max_digit``."""
+        return self._max_digit * self.term_sum(m)

@@ -283,11 +283,19 @@ def test_words_with_oversized_entries_are_illegal(handles):
     ((1, 0, -1), "1,1"),
     ((0, -3), "0,2,2"),
     ((-5,), "3,2,4"),
+    ((0, 1.5), "0,2,2"),
+    ((1.5,), "1,1"),
 ])
 def test_words_with_negative_entries_are_illegal(word, text, handles):
+    # so are words with an entry that is no integer: the first entry outside
+    # 0..max(c, 1) rejects, and the automata never store it
     h = handles(text)
     assert not word_is_legal(word, h)
     assert word_derivation(word, h) is None
+    digits = range(h.spec.max_digit + 1)
+    assert reject_at(word, h) == next(n for n, d in enumerate(word, 1) if d not in digits)
+    assert all(type(d) is int for start in h.reverse_automaton
+               for state in states_read(start) for d in state)
 
 
 def test_automaton_matches_recognizer_on_the_grid_exhaustively():
@@ -319,20 +327,23 @@ def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
     assert reject_at(word, h) == at and (at == 0) == (expected is not None)
 
 
-# large coefficients: digits near 0, 1 and c decide the moves, so draw those
-# often; a dense digit table would hold states x (c + 1) x backward states moves.
+# large coefficients: digits near 0, 1 and c decide the moves, so each family
+# draws those often, near its own c; a dense digit table would hold states x (c + 1) x backward states moves.
 # Random words seldom need the backward state to pick a move, so each example
 # also checks a greedy word, which is legal and long.
 LARGE = ["0,1000,1000", "1000,1", "0,1000000,1000000", "1000000,1"]
-LARGE_DIGITS = st.one_of(
-    st.sampled_from([0, 0, 0, 1, 2, 998, 999, 1000, 1001, 999999, 10**6, 10**6 + 1]),
-    st.integers(-1, 1001), st.integers(-1, 10**6 + 1))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(LARGE), st.lists(LARGE_DIGITS, max_size=40), st.integers(1, 10**40))
-def test_automaton_matches_recognizer_on_large_coefficients(handles, text, word, n):
+def large_digits(cap: int):
+    return st.one_of(st.sampled_from([0, 0, 0, 1, 2, cap - 2, cap - 1, cap, cap + 1]),
+                     st.integers(-1, cap + 1))
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.sampled_from(LARGE), st.data(), st.integers(1, 10**40))
+def test_automaton_matches_recognizer_on_large_coefficients(handles, text, data, n):
     h = handles(text)
+    word = data.draw(st.lists(large_digits(h.spec.max_digit), max_size=40))
     for w in (word, greedy_decompose(h, n).dense(h.top_index(n))):
         expected = reference_derivation(w, h.spec)
         assert word_derivation(w, h) == expected
