@@ -126,7 +126,10 @@ def compile_reverse_automaton(spec: RecurrenceSpec) -> tuple[SubsetState, Subset
 def reject_at(word, handle: SequenceHandle) -> int:
     """Where the forward automaton rejects the word: the 1-based position of
     the entry that leaves no NFA state alive (or equals no digit 0..max(c, 1)),
-    len(word) + 1 if it ends in no accepting state, or 0 if it accepts."""
+    len(word) + 1 if it ends in no accepting state, or 0 if it accepts.  The
+    rejecting states, MATCH_i with i <= depth, follow i zeros read from START
+    or from GAP, which zeros keep live: so a word ends in one only if it is all
+    zeros, and a word with a nonzero digit is rejected at a position in it."""
     backward, state = handle.reverse_automaton
     n = 0
     for d in word:

@@ -5,14 +5,15 @@ returns ``(payload, lines, code)``: the dict that ``--json`` prints, the text
 lines read off it, and the exit code.  ``main`` alone prints, either the
 payload as JSON or the lines (a ``_Stderr`` line to stderr).  ``scan``,
 ``lemma22``, ``probe`` (which streams its CSV) and failures return no payload,
-so their lines print either way.  A command that does not apply to the family
-answers ``{"applicable": false, "reason": ...}`` under ``--json``.
+so their lines print either way.  Under ``--json`` a command that does not
+apply to the family answers ``{"applicable": false, "reason": ...}``, and a
+failed construction ``{"applicable": true, "verified": false, ...}``.
 
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
 a malformed option, a term index above MAX_INDEX or an unwritable --out path,
 3 scan exhausted under --expect-find, 4 internal inconsistency (oracle
-mismatch or counterexample verification failure), 5 enumeration budget or
-oracle bound exceeded.
+mismatch, counterexample verification failure, or greedy cannot re-anchor a
+remainder), 5 enumeration budget or oracle bound exceeded.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from .errors import (
     ZecklabError,
 )
 from .greedy import greedy_decompose
-from .legality import (
-    evaluate,
-    is_legal,
-    parse_decomposition,
-    window_alignment,
-    word_is_legal,
-)
+from .legality import evaluate, is_legal, parse_decomposition
 from .recurrence import parse_recurrence
 from .sequence import SequenceHandle
 from .uniqueness import (
@@ -104,8 +99,7 @@ def _cmd_decompose(args, handle):
         decomp, steps = greedy_decompose(handle, args.n, trace=True)
     else:
         decomp = greedy_decompose(handle, args.n)
-    # is_legal's verdict, without building the derivation it would discard
-    legal = word_is_legal(decomp.dense(window_alignment(decomp, handle)), handle)
+    legal = is_legal(decomp, handle).legal
     payload = {
         "n": str(args.n),
         "summands": [{"index": i, "mult": m, "value": str(handle.term(i))}
@@ -390,10 +384,13 @@ def main(argv: list[str] | None = None) -> int:
             payload = {"applicable": False, "reason": str(exc)}
             lines, code = [f"not applicable: {exc}"], EXIT_OK
         except ConstructionFailedError as exc:
-            print(f"construction failed: {exc}", file=sys.stderr)
-            for key, val in sorted(exc.diagnostics.items()):
-                print(f"  {key}: {val}", file=sys.stderr)
-            return EXIT_INCONSISTENT
+            diagnostics = dict(sorted(exc.diagnostics.items()))
+            payload = {"applicable": True, "verified": False, "reason": str(exc),
+                       # integers as decimal strings, tuples as lists
+                       "diagnostics": json.loads(json.dumps(diagnostics), parse_int=str)}
+            lines = [_Stderr(f"construction failed: {exc}"),
+                     *(_Stderr(f"  {key}: {val}") for key, val in diagnostics.items())]
+            code = EXIT_INCONSISTENT
         except ZecklabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INCONSISTENT

@@ -7,10 +7,10 @@ floor(remainder / G_j) < c_i copies and closing the block.  The remainder
 then re-anchors at its own, strictly lower window.  A remainder that is a
 term value short-circuits to a bare summand: after a block, at the largest
 matching index below the block's stop index; for the target itself, at the
-largest matching index, unless that index sits below the window top and the
-``word_is_legal`` scan rejects the leading zeros.  Otherwise the block step
-runs.  Each traced ``BlockStep`` (a NamedTuple) lists its block's takes as
-they are made.  ``is_legal`` judges a result by deriving it: the backward
+largest matching index, unless that index sits below the window top and
+``is_legal`` rejects the bare summand's leading zeros.  Otherwise the block
+step runs.  Each traced ``BlockStep`` (a NamedTuple) lists its block's takes
+as they are made.  ``is_legal`` judges a result by deriving it: the backward
 pass decides, and ``reject_at`` only explains a rejection.
 """
 
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import NonProgressError
-from .legality import Decomposition, word_is_legal
+from .legality import Decomposition, is_legal
 from .sequence import SequenceHandle
 
 
@@ -63,9 +63,8 @@ def greedy_decompose(
         elif exact is not None and prev_stop is None:
             # the target's own word: a term value below its window top leaves
             # leading zeros that the grammar may not absorb
-            top = bisect_right(floors, remainder)
-            if exact != top and not word_is_legal(
-                    Decomposition(((exact, 1),)).dense(top), handle):
+            if exact != bisect_right(floors, remainder) and not is_legal(
+                    Decomposition(((exact, 1),)), handle).legal:
                 exact = None
         if exact is not None:
             assert exact not in out

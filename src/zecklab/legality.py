@@ -19,10 +19,10 @@ word lies in 0..max(c, 1); a negative entry is never legal.
 Words are decided, derived and explained in ``automaton``, which compiles
 these rules into an NFA and determinises it by subsets as the handle's
 words are read; this module re-exports ``word_is_legal`` and
-``word_derivation``.  ``is_legal`` judges a decomposition by deriving its
-word: the derivation's backward pass decides legality, and only an illegal
-word is run forward by ``reject_at``, so that its reason can say at which
-digit the automaton dies.
+``word_derivation``, which take bare words.  ``is_legal``, the one judge of a
+decomposition, derives its word: the backward pass decides legality, and only
+an illegal word is run forward by ``reject_at``, so that its reason can say at
+which digit the automaton dies.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
@@ -216,11 +216,10 @@ def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
     blocks = word_derivation(word, handle)
     if blocks is not None:
         return LegalityVerdict(legal=True, alignment=m, blocks=blocks)
-    at = reject_at(word, handle)
-    where = (f"the automaton dies at position {at} on digit {word[at - 1]}" if at <= m
-             else "the word ends in a non-accepting automaton state")
+    at = reject_at(word, handle)  # <= m: the word has a nonzero digit
     return LegalityVerdict(
         legal=False,
         alignment=m,
-        reason=f"no grammar derivation for word {word} at window alignment {m}: {where}",
+        reason=f"no grammar derivation for word {word} at window alignment {m}: "
+               f"the automaton dies at position {at} on digit {word[at - 1]}",
     )

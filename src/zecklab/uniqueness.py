@@ -27,7 +27,7 @@ from .errors import (
     RecurrenceError,
 )
 from .greedy import greedy_decompose
-from .legality import Decomposition, evaluate, window_alignment, word_is_legal
+from .legality import Decomposition, evaluate, is_legal
 from .recurrence import construction_applies, parse_recurrence
 from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, first_nonunique
 from .sequence import SequenceHandle
@@ -126,13 +126,12 @@ def construct_counterexample(
         n_value=n_value, x=x, window=(lo, hi), window_ok=window_ok,
         decompA=str(decomp_a), direct_candidate=str(candidate_b),
     )
-
-    def legal(d: Decomposition) -> bool:  # is_legal's verdict, without the derivation
-        return word_is_legal(d.dense(window_alignment(d, handle)), handle)
-
-    a_legal = legal(decomp_a)
-    b_legal = legal(candidate_b)
+    verdict_a, verdict_b = is_legal(decomp_a, handle), is_legal(candidate_b, handle)
+    a_legal, b_legal = verdict_a.legal, verdict_b.legal
     diagnostics.update(decompA_legal=a_legal, direct_candidate_legal=b_legal)
+    for name, verdict in (("decompA", verdict_a), ("direct_candidate", verdict_b)):
+        if verdict.reason:  # where a rejected candidate dies
+            diagnostics[f"{name}_reason"] = verdict.reason
     if evaluate(decomp_a, handle) != n_value or evaluate(candidate_b, handle) != n_value:
         raise ConstructionFailedError("constructed sums do not evaluate to N", diagnostics)
     try:
@@ -159,7 +158,7 @@ def construct_counterexample(
             f"(count = {len(all_decomps)})",
             diagnostics,
         )
-    assert legal(decomp_b) and decomp_b != decomp_a
+    assert is_legal(decomp_b, handle).legal and decomp_b != decomp_a
     return CounterexampleReport(
         n_value=n_value,
         x=x,

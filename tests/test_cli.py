@@ -24,6 +24,8 @@ CONSTRUCTION_FAILED = "".join(f"{line}\n" for line in [
     "  decompA_legal: True",
     "  direct_candidate: 5:2,3:2,1:1",
     "  direct_candidate_legal: False",
+    "  direct_candidate_reason: no grammar derivation for word [0, 2, 0, 2, 0, 1] at "
+    "window alignment 6: the automaton dies at position 4 on digit 2",
     "  legal_decompositions: ['5:2,4:1,1:1']",
     "  n_value: 27",
     "  recurrence: 0,2,2",
@@ -120,7 +122,18 @@ GOLDEN = [
      '{"applicable": false, "reason": "0,1,1: construction needs a deep family with lead > '
      'depth, positive second coefficient and last coefficient > 1"}\n', ""),
     ("counterexample --rec 0,2,2", 4, "", CONSTRUCTION_FAILED),
-    ("counterexample --rec 0,2,2 --json", 4, "", CONSTRUCTION_FAILED),
+    ("counterexample --rec 0,2,2 --json", 4,
+     '{"applicable": true, "verified": false, "reason": "N = 27 admits no second legal '
+     'decomposition (count = 1)", "diagnostics": {"count_at_n": "1", '
+     '"decompA": "5:2,4:1,1:1", "decompA_legal": true, "direct_candidate": "5:2,3:2,1:1", '
+     '"direct_candidate_legal": false, "direct_candidate_reason": "no grammar derivation '
+     'for word [0, 2, 0, 2, 0, 1] at window alignment 6: the automaton dies at position 4 '
+     'on digit 2", "legal_decompositions": ["5:2,4:1,1:1"], "n_value": "27", '
+     '"recurrence": "0,2,2", "window": ["18", "32"], "window_ok": true, "x": "1", '
+     '"x_cap": "4"}}\n', ""),
+    # greedy's residue: a remainder whose window lies above its block's stop index
+    ("decompose --rec 0,0,0,1,0,0,1 --n 64", 4, "",
+     "error: window 19 of remainder 26 did not drop below stop index 18\n"),
 ]
 
 
@@ -279,6 +292,10 @@ def test_probe_writes_csv(tmp_path, capsys):
     assert all(len(r) == 10 for r in rows[1:])
     recs = {r[0] for r in rows[1:]}
     assert "0,2,2" in recs and "0,1,1" in recs
+    # a range may also be a list: rows for depths 1 and 3 only
+    code, rows, _ = probe_rows(capsys, tmp_path, "--grid", "s=1;3,span=2,c=0..2",
+                               "--max", "50")
+    assert code == 0 and {r["s"] for r in rows.values()} == {"1", "3"}
 
 
 def probe_rows(capsys, tmp_path, *argv):

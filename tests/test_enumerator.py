@@ -69,6 +69,7 @@ def test_oracle_equivalence_small(text, handles):
     "text", ORACLE_POOL + ["2", "0,1,2,1", "0,1,3,0,1", "0,3,4,1", "0,4,2"])
 def test_sweep_matches_point_enumeration(text, handles):
     h = handles(text)
+    assert decompositions_up_to(h, 0) == {}
     buckets = decompositions_up_to(h, 120)
     for n in range(1, 121):
         expected = enumerate_legal(h, n)

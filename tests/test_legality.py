@@ -325,6 +325,7 @@ def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
     assert word_is_legal(word, h) == (expected is not None)
     at = reference_reject_at(word, h.spec)
     assert reject_at(word, h) == at and (at == 0) == (expected is not None)
+    assert at <= len(word) or not any(word)  # a run ends non-accepting only on zeros
 
 
 # large coefficients: digits near 0, 1 and c decide the moves, so each family
@@ -350,6 +351,7 @@ def test_automaton_matches_recognizer_on_large_coefficients(handles, text, data,
         assert word_is_legal(w, h) == (expected is not None)
         at = reference_reject_at(w, h.spec)
         assert reject_at(w, h) == at and (at == 0) == (expected is not None)
+        assert at <= len(w) or not any(w)
 
 
 def test_derivation_blocks_are_whole_records(handles):
@@ -401,8 +403,8 @@ def test_verdicts_derive_first_and_explain_by_the_scan(handles, text, n, selecto
             assert verdict.blocks == reference_derivation(word, h.spec)
             assert verdict.reason is None and at == 0
         else:
-            where = (f"the automaton dies at position {at} on digit {word[at - 1]}"
-                     if at <= m else "the word ends in a non-accepting automaton state")
+            assert at <= m  # the word has a nonzero digit, so the run dies in it
+            where = f"the automaton dies at position {at} on digit {word[at - 1]}"
             assert verdict.blocks is None and verdict.reason.endswith(where)
             assert reference_derivation(word, h.spec) is None
 

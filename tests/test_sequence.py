@@ -101,6 +101,7 @@ def test_index_of_value_prefers_larger_index(handles):
     assert lag.index_of_value(3) == 4
     assert lag.index_of_value(4) == 3
     assert lag.index_of_value(5) is None
+    assert lag.index_of_value(0) is None
 
 
 def test_recurrence_residual_is_exactly_zero():
