@@ -4,16 +4,18 @@
 returns ``(payload, lines, code)``: the dict that ``--json`` prints, the text
 lines read off it, and the exit code.  ``main`` alone prints, either the
 payload as JSON or the lines (a ``_Stderr`` line to stderr).  ``scan``,
-``lemma22``, ``probe`` (which streams its CSV) and failures return no payload,
-so their lines print either way.  Under ``--json`` a command that does not
-apply to the family answers ``{"applicable": false, "reason": ...}``, and a
-failed construction ``{"applicable": true, "verified": false, ...}``.
+``lemma22`` and ``probe`` (which streams its CSV) return no payload, so their
+lines print either way.  Under ``--json`` a command that does not apply to
+the family answers ``{"applicable": false, "reason": ...}``.  Every other
+``ZecklabError`` is a failure, which ``main`` turns into its ``FAILURES`` row:
+``{"error": label, "reason": ..., "diagnostics": {...}}`` under ``--json``,
+else ``label: reason`` and one line per diagnostic on stderr.
 
 Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
 a malformed option, a term index above MAX_INDEX or an unwritable --out path,
 3 scan exhausted under --expect-find, 4 internal inconsistency (oracle
-mismatch, counterexample verification failure, or greedy cannot re-anchor a
-remainder), 5 enumeration budget or oracle bound exceeded.
+mismatch, counterexample verification failure, or the constant family ``1``),
+5 enumeration budget or oracle bound exceeded, or a probe grid above it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ EXIT_NOT_FOUND = 3
 EXIT_INCONSISTENT = 4
 EXIT_BUDGET = 5
 MAX_INDEX = 10**4  # the largest term index that seq and check grow the table to
+# (exception classes, exit code, label) for a failed command; the first row
+# that matches wins
+FAILURES = (
+    (RecurrenceError, EXIT_BAD_RECURRENCE, "invalid recurrence"),
+    (DecompositionTextError, EXIT_BAD_DECOMP, "invalid decomposition"),
+    ((BudgetExceededError, OracleBoundExceededError), EXIT_BUDGET, "budget exceeded"),
+    (ConstructionFailedError, EXIT_INCONSISTENT, "construction failed"),
+    (ZecklabError, EXIT_INCONSISTENT, "error"),
+)
 
 
 def _natural(text: str) -> int:
@@ -130,8 +141,6 @@ def _cmd_decompose(args, handle):
                                   for t in step["takes"])
                 lines.append(f"  anchor {step['anchor']}: took {takes or 'nothing'};"
                              f" remainder {step['remainder']}")
-    if not legal:  # a diagnostic in either form, so neither payload nor lines
-        print("greedy output failed the legality check", file=sys.stderr)
     return payload, lines, EXIT_OK if legal else EXIT_INCONSISTENT
 
 
@@ -170,10 +179,9 @@ def _cmd_enumerate(args, handle):
     if args.oracle:
         oracle = sorted(naive_oracle(handle, n), key=str)
         if oracle != grammar:
-            return None, [_Stderr(
-                "INCONSISTENT: oracle and grammar enumerations disagree for "
-                f"N={n}: {list(map(str, oracle))} vs {list(map(str, grammar))}"
-            )], EXIT_INCONSISTENT
+            raise ZecklabError(f"oracle and grammar enumerations disagree for N={n}",
+                               {"grammar": [str(d) for d in grammar],
+                                "oracle": [str(d) for d in oracle]})
     payload = {
         "n": str(n),
         "count": len(grammar),
@@ -264,6 +272,13 @@ def _grid(text: str) -> tuple[list[int], list[int], int]:
 
 
 def _cmd_probe(args, handle):
+    # count the grid before listing it: per span, lead and last coefficients
+    # run over 1..c_max and interior ones over 0..c_max
+    depths, spans, c_max = args.grid
+    points = len(depths) * sum(c_max ** min(span, 2) * (c_max + 1) ** max(span - 2, 0)
+                               for span in spans)
+    if points > args.budget:
+        raise BudgetExceededError(f"grid of {points} points exceeds budget {args.budget}")
     # streams its rows; open the output first, so an unusable path fails
     # before the sweep runs
     try:
@@ -273,7 +288,7 @@ def _cmd_probe(args, handle):
                               f"{exc.strerror}")], EXIT_BAD_DECOMP
     records = []
     try:
-        texts, skipped = expand_grid(*args.grid)
+        texts, skipped = expand_grid(depths, spans, c_max)
         for note in skipped:
             print(f"skipped invalid grid point: {note}", file=sys.stderr)
         writer = csv.writer(out)
@@ -371,29 +386,18 @@ def main(argv: list[str] | None = None) -> int:
             rec = vars(args).get("rec")  # every command but probe
             handle = None if rec is None else SequenceHandle(parse_recurrence(rec))
             payload, lines, code = args.func(args, handle)
-        except RecurrenceError as exc:
-            print(f"invalid recurrence: {exc}", file=sys.stderr)
-            return EXIT_BAD_RECURRENCE
-        except DecompositionTextError as exc:
-            print(f"invalid decomposition: {exc}", file=sys.stderr)
-            return EXIT_BAD_DECOMP
-        except (BudgetExceededError, OracleBoundExceededError) as exc:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
         except NotApplicableError as exc:  # an answer, not a failure
             payload = {"applicable": False, "reason": str(exc)}
             lines, code = [f"not applicable: {exc}"], EXIT_OK
-        except ConstructionFailedError as exc:
+        except ZecklabError as exc:
+            code, label = next((code, label) for kinds, code, label in FAILURES
+                               if isinstance(exc, kinds))
             diagnostics = dict(sorted(exc.diagnostics.items()))
-            payload = {"applicable": True, "verified": False, "reason": str(exc),
+            payload = {"error": label, "reason": str(exc),
                        # integers as decimal strings, tuples as lists
                        "diagnostics": json.loads(json.dumps(diagnostics), parse_int=str)}
-            lines = [_Stderr(f"construction failed: {exc}"),
+            lines = [_Stderr(f"{label}: {exc}"),
                      *(_Stderr(f"  {key}: {val}") for key, val in diagnostics.items())]
-            code = EXIT_INCONSISTENT
-        except ZecklabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INCONSISTENT
         if payload is not None and vars(args).get("json"):  # lemma22 has no --json
             print(json.dumps(payload))
         else:

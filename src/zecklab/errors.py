@@ -47,8 +47,8 @@ class AlignmentTooSmallError(ZecklabError, ValueError):
 
 
 class NonProgressError(ZecklabError, RuntimeError):
-    """Greedy remainder failed to move to a strictly lower window; indicates
-    an initial-conditions pathology."""
+    """A walk that cannot make progress: the constant family's terms never
+    grow past 1, or a greedy block took every cap and left a remainder."""
 
 
 class BudgetExceededError(ZecklabError, RuntimeError):

@@ -4,14 +4,16 @@ For a target N the algorithm anchors at the window top t = max{n: G_n <= N}
 and walks the block positions i = depth+1 .. order over indices j = t+1-i,
 taking full c_i copies while the remainder allows, otherwise taking
 floor(remainder / G_j) < c_i copies and closing the block.  The remainder
-then re-anchors at its own, strictly lower window.  A remainder that is a
-term value short-circuits to a bare summand: after a block, at the largest
-matching index below the block's stop index; for the target itself, at the
-largest matching index, unless that index sits below the window top and
-``is_legal`` rejects the bare summand's leading zeros.  Otherwise the block
-step runs.  Each traced ``BlockStep`` (a NamedTuple) lists its block's takes
-as they are made.  ``is_legal`` judges a result by deriving it: the backward
-pass decides, and ``reject_at`` only explains a rejection.
+then re-anchors at its own window, or, where the terms dip and that window
+is not below the block's stop index, at the largest lower index whose term
+fits.  A remainder that is a term value short-circuits to a bare summand:
+after a block, at the largest matching index below the block's stop index;
+for the target itself, at the largest matching index, unless that index
+sits below the window top and ``is_legal`` rejects the bare summand's
+leading zeros.  Otherwise the block step runs.  Each traced ``BlockStep``
+(a NamedTuple) lists its block's takes as they are made.  ``is_legal``
+judges a result by deriving it: the backward pass decides, and
+``reject_at`` only explains a rejection.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ def greedy_decompose(
 ) -> Decomposition | tuple[Decomposition, list[BlockStep]]:
     """Decompose ``n_value`` greedily; returns (result, steps) when asked.
 
-    Raises NonProgressError if a remainder fails to re-anchor strictly below
-    the position where its block closed.  That is known to happen on the
-    constant family ``1`` and on some values of ``0,0,0,1,0,0,1``.
+    Only the constant family ``1`` is known to raise: NonProgressError, from
+    ``handle.tables``.
     """
     if n_value < 0:
         raise ValueError("target must be >= 0")
@@ -74,10 +75,11 @@ def greedy_decompose(
             break
         anchor = bisect_right(floors, remainder)
         if prev_stop is not None and anchor >= prev_stop:
-            raise NonProgressError(
-                f"window {anchor} of remainder {remainder} did not drop below "
-                f"stop index {prev_stop}"
-            )
+            # terms need not rise (G_18 = 27 > G_19 = 26 on 0,0,0,1,0,0,1):
+            # re-anchor at the largest index below the stop whose term fits,
+            # which G_1 = 1 guarantees
+            anchor = next(j for j in range(prev_stop - 1, 0, -1)
+                          if terms[j - 1] <= remainder)
         takes = []  # (index, copies, term value), filled only when tracing
         for i, cap in positions if anchor >= L else positions[:max(anchor - s, 0)]:
             j = anchor + 1 - i  # >= 1

@@ -8,10 +8,9 @@ computes the quantity whose negativity places N inside that window;
 ``construct_counterexample`` builds and verifies the two candidate
 decompositions and reports exactly what holds.
 
-``CounterexampleReport`` and ``UniquenessReport`` are NamedTuples, with tuple
-semantics: indexing, unpacking, equality with an equal plain tuple.
-``ExperimentRecord`` is a small mutable class instead, because
-``probe_family`` fills each row in as it measures.
+``CounterexampleReport``, ``UniquenessReport`` and ``ExperimentRecord`` are
+NamedTuples, with tuple semantics: indexing, unpacking, equality with an
+equal plain tuple.
 """
 
 from __future__ import annotations
@@ -199,38 +198,24 @@ CSV_HEADER = (
 )
 
 
-class ExperimentRecord:
-    """One row of a sweep: everything measured for a single family.  Mutable;
-    rows compare field by field."""
+class ExperimentRecord(NamedTuple):
+    """One row of a sweep: everything measured for a single family."""
 
-    __match_args__ = ("recurrence", "s", "L", "bound", "first_nonunique_n", "count_at_n",
-                      "slack", "counterexample_n", "status", "elapsed_ms", "note")
-    __hash__ = None  # mutable, so unhashable
-
-    def __init__(self, recurrence: str, s: int, L: int, bound: int,
-                 first_nonunique_n: int | None = None, count_at_n: int | None = None,
-                 slack: int | None = None, counterexample_n: int | None = None,
-                 status: str = "ok", elapsed_ms: int = 0, note: str = ""):
-        self.recurrence, self.s, self.L, self.bound = recurrence, s, L, bound
-        self.first_nonunique_n, self.count_at_n = first_nonunique_n, count_at_n
-        self.slack, self.counterexample_n = slack, counterexample_n
-        self.status, self.elapsed_ms, self.note = status, elapsed_ms, note
-
-    def _cells(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._cells() == other._cells()
-
-    def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+    recurrence: str
+    s: int
+    L: int
+    bound: int
+    first_nonunique_n: int | None = None
+    count_at_n: int | None = None
+    slack: int | None = None
+    counterexample_n: int | None = None
+    status: str = "ok"
+    elapsed_ms: int = 0
+    note: str = ""
 
     def csv_cells(self) -> list[str]:
         """Every field but the trailing ``note``, in ``CSV_HEADER``'s order."""
-        return ["" if v is None else str(v) for v in self._cells()[:-1]]
+        return ["" if v is None else str(v) for v in self[:-1]]
 
 
 def expand_grid(
@@ -280,24 +265,22 @@ def probe_family(
         started = time.perf_counter()
         spec = parse_recurrence(text)
         handle = SequenceHandle(spec)
-        rec = ExperimentRecord(
-            recurrence=text, s=spec.depth, L=spec.order, bound=bound
-        )
+        hit = slack = n_value = None
+        status, note = "ok", ""
         try:
             hit = first_nonunique(handle, bound, budget)
-            if hit is not None:
-                rec.first_nonunique_n, rec.count_at_n = hit
             if construction_applies(spec):
-                rec.slack = construction_slack(handle)
+                slack = construction_slack(handle)
                 report = construct_counterexample(handle, budget)
-                rec.counterexample_n = report.n_value
+                n_value = report.n_value
                 if not report.direct_pair_legal:
-                    rec.note = "second decomposition found by enumeration"
+                    note = "second decomposition found by enumeration"
         except (BudgetExceededError, ConstructionFailedError) as exc:
-            rec.counterexample_n = exc.diagnostics.get("n_value")
-            rec.status = ("budget_exceeded" if isinstance(exc, BudgetExceededError)
-                          else "inconsistent")
-            rec.note = str(exc)
-        rec.elapsed_ms = int((time.perf_counter() - started) * 1000)
-        records.append(rec)
+            n_value = exc.diagnostics.get("n_value")
+            status = ("budget_exceeded" if isinstance(exc, BudgetExceededError)
+                      else "inconsistent")
+            note = str(exc)
+        records.append(ExperimentRecord(
+            text, spec.depth, spec.order, bound, *(hit or (None, None)), slack, n_value,
+            status, int((time.perf_counter() - started) * 1000), note))
     return records

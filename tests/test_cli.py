@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
+from zecklab import cli
 from zecklab.cli import MAX_INDEX, main
+from zecklab.legality import parse_decomposition
 from zecklab.sequence import SequenceHandle
+from zecklab.uniqueness import CounterexampleReport, expand_grid
 
 
 def run(capsys, *argv):
@@ -96,8 +99,14 @@ GOLDEN = [
      '"derivation": [{"condition": 1, "start": 1}]}\n', ""),
     ("check --rec 0,0 --decomp 5:1,7:2", 1, "",
      "invalid recurrence: all coefficients are zero\n"),
-    ("check --rec 0,2,2 --decomp 5:1,7:2 --json", 2, "",
+    ("check --rec 0,0 --decomp 1:1 --json", 1,
+     '{"error": "invalid recurrence", "reason": "all coefficients are zero", '
+     '"diagnostics": {}}\n', ""),
+    ("check --rec 0,2,2 --decomp 5:1,7:2", 2, "",
      "invalid decomposition: indices must be strictly decreasing\n"),
+    ("check --rec 0,2,2 --decomp 5:1,7:2 --json", 2,
+     '{"error": "invalid decomposition", "reason": "indices must be strictly decreasing", '
+     '"diagnostics": {}}\n', ""),
     ("enumerate --rec 0,1,1 --n 7", 0,
      "2 legal decomposition(s) of 7\n  5:1,1:1\n  6:1\n", ""),
     ("enumerate --rec 0,1,1 --n 7 --json", 0,
@@ -123,7 +132,7 @@ GOLDEN = [
      'depth, positive second coefficient and last coefficient > 1"}\n', ""),
     ("counterexample --rec 0,2,2", 4, "", CONSTRUCTION_FAILED),
     ("counterexample --rec 0,2,2 --json", 4,
-     '{"applicable": true, "verified": false, "reason": "N = 27 admits no second legal '
+     '{"error": "construction failed", "reason": "N = 27 admits no second legal '
      'decomposition (count = 1)", "diagnostics": {"count_at_n": "1", '
      '"decompA": "5:2,4:1,1:1", "decompA_legal": true, "direct_candidate": "5:2,3:2,1:1", '
      '"direct_candidate_legal": false, "direct_candidate_reason": "no grammar derivation '
@@ -131,9 +140,20 @@ GOLDEN = [
      'on digit 2", "legal_decompositions": ["5:2,4:1,1:1"], "n_value": "27", '
      '"recurrence": "0,2,2", "window": ["18", "32"], "window_ok": true, "x": "1", '
      '"x_cap": "4"}}\n', ""),
-    # greedy's residue: a remainder whose window lies above its block's stop index
-    ("decompose --rec 0,0,0,1,0,0,1 --n 64", 4, "",
-     "error: window 19 of remainder 26 did not drop below stop index 18\n"),
+    # remainder 26's window 19 lies above its block's stop index 18, so
+    # greedy re-anchors below the stop
+    ("decompose --rec 0,0,0,1,0,0,1 --n 64", 0,
+     "64 = 1*G_21(38) + 1*G_14(16) + 1*G_7(7) + 1*G_3(3)  [legal]\n", ""),
+    # the generic failure row: the constant family's terms never grow
+    ("decompose --rec 1 --n 2", 4, "", "error: sequence is constant; it never exceeds 1\n"),
+    ("decompose --rec 1 --n 2 --json", 4,
+     '{"error": "error", "reason": "sequence is constant; it never exceeds 1", '
+     '"diagnostics": {}}\n', ""),
+    ("enumerate --rec 0,1,1 --n 501 --oracle --json", 5,
+     '{"error": "budget exceeded", "reason": "value 501 exceeds oracle bound 500", '
+     '"diagnostics": {}}\n', ""),
+    # the default grid names 90 families; it is counted, not listed
+    ("probe --budget 10", 5, "", "budget exceeded: grid of 90 points exceeds budget 10\n"),
 ]
 
 
@@ -224,6 +244,38 @@ def test_enumerate_oracle_above_its_bound_exits_5(capsys):
     assert code == 5
     assert out == ""
     assert err.strip() == "budget exceeded: value 501 exceeds oracle bound 500"
+
+
+def test_enumerate_oracle_disagreement_is_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "naive_oracle", lambda handle, n: [])
+    argv = ("enumerate", "--rec", "0,1,1", "--n", "7", "--oracle")
+    assert run(capsys, *argv) == (4, "", (
+        "error: oracle and grammar enumerations disagree for N=7\n"
+        "  grammar: ['5:1,1:1', '6:1']\n"
+        "  oracle: []\n"))
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (4, "")
+    assert json.loads(out) == {
+        "error": "error", "reason": "oracle and grammar enumerations disagree for N=7",
+        "diagnostics": {"grammar": ["5:1,1:1", "6:1"], "oracle": []}}
+
+
+def test_counterexample_reports_a_verified_construction(monkeypatch, capsys):
+    # no grid family verifies, so a stub stands in for the success path
+    a, b = parse_decomposition("5:2,4:1,1:1"), parse_decomposition("6:1,1:1")
+    report = CounterexampleReport(27, 1, a, b, True, 2, False,
+                                  parse_decomposition("5:2,3:2,1:1"))
+    monkeypatch.setattr(cli, "construct_counterexample", lambda handle, budget: report)
+    assert run(capsys, "counterexample", "--rec", "0,2,2") == (0, (
+        "N = 27 (x = 1, window ok: True)\n"
+        "  A: 5:2,4:1,1:1\n"
+        "  B: 6:1,1:1\n"
+        "  total legal decompositions of N: 2\n"
+        "  note: the construction's direct second candidate 5:2,3:2,1:1 is not "
+        "grammar-legal; B was found by enumeration\n"), "")
+    assert run(capsys, "counterexample", "--rec", "0,2,2", "--json") == (0, (
+        '{"n": "27", "x": "1", "decompA": "5:2,4:1,1:1", "decompB": "6:1,1:1", '
+        '"window_ok": true, "count_at_n": 2, "direct_pair_legal": false}\n'), "")
 
 
 def test_scan_finds_lagonacci_pair(capsys):
@@ -332,6 +384,18 @@ def test_probe_keeps_the_other_rows_when_a_family_raises(tmp_path, capsys):
     assert list(rows) == ["2", "1,1", "1,2", "2,1", "2,2",
                           "0,1,1", "0,1,2", "0,2,1", "0,2,2"]
     assert rows["1,1"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("grid", ["s=1..2,span=2..3,c=0..3", "s=0..1,span=1..2,c=0..2",
+                                  "s=1;3,span=1..4,c=0..2"])
+def test_probe_counts_its_grid_before_listing_it(grid, tmp_path, capsys):
+    texts, skipped = expand_grid(*cli._grid(grid))
+    points, out = len(texts) + len(skipped), tmp_path / "probe.csv"
+    argv = ("probe", "--grid", grid, "--max", "20", "--out", str(out), "--budget")
+    assert run(capsys, *argv, str(points - 1)) == (
+        5, "", f"budget exceeded: grid of {points} points exceeds budget {points - 1}\n")
+    assert not out.exists()
+    assert run(capsys, *argv, str(points))[0] != 5 and out.exists()
 
 
 def test_probe_rows_deterministic_modulo_timing(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from zecklab import (
     CSV_HEADER,
+    CounterexampleReport,
     ExperimentRecord,
     SequenceHandle,
     case1_slack_closed_form,
@@ -16,6 +19,7 @@ from zecklab import (
     probe_family,
     verify_uniqueness_range,
 )
+from zecklab import uniqueness
 from zecklab.errors import ConstructionFailedError, NonProgressError, NotApplicableError
 
 
@@ -87,6 +91,37 @@ def test_construction_degenerate_prefix_family(handles):
     assert diag["decompA_legal"]
 
 
+def test_construction_fails_the_same_way_on_every_applicable_family():
+    # criterion 8's finding: the primary decomposition is legal and is N's only
+    # one, and the direct second candidate dies at word position L+s on a
+    # non-zero digit
+    failures = 0
+    for text in grid_specs(range(0, 4), range(1, 5), 4):
+        h = SequenceHandle(parse_recurrence(text))
+        if not construction_applies(h.spec):
+            continue
+        with pytest.raises(ConstructionFailedError) as exc_info:
+            construct_counterexample(h)
+        diag = exc_info.value.diagnostics
+        assert diag["decompA_legal"] and diag["count_at_n"] == 1, text
+        death = re.search(r"dies at position (\d+) on digit (\d+)$",
+                          diag["direct_candidate_reason"])
+        assert death and int(death[1]) == h.spec.order + h.spec.depth, text
+        assert int(death[2]) != 0, text
+        failures += 1
+    assert failures == 450
+
+
+def test_probe_family_notes_a_second_decomposition_found_by_enumeration(monkeypatch):
+    # no grid family verifies, so a stub stands in for the success path
+    report = CounterexampleReport(27, 1, None, None, True, 2, False, None)
+    monkeypatch.setattr(uniqueness, "construct_counterexample", lambda h, budget: report)
+    [rec] = probe_family(["0,2,2"], bound=50)
+    assert rec._replace(elapsed_ms=0) == ExperimentRecord(
+        "0,2,2", 1, 3, 50, 2, 2, -8, 27, "ok", 0,
+        "second decomposition found by enumeration")
+
+
 def test_construction_not_applicable(handles):
     with pytest.raises(NotApplicableError):
         construct_counterexample(handles("0,1,1"))
@@ -156,16 +191,14 @@ def test_experiment_record_keeps_the_dataclass_behaviour():
         "ExperimentRecord(recurrence='0,2,2', s=1, L=3, bound=100, "
         "first_nonunique_n=None, count_at_n=None, slack=None, counterexample_n=None, "
         "status='ok', elapsed_ms=0, note='')")
-    rec.count_at_n = 2
-    assert rec.count_at_n == 2 and rec != ExperimentRecord("0,2,2", 1, 3, 100)
-    with pytest.raises(TypeError):
-        hash(rec)
+    bumped = rec._replace(count_at_n=2)
+    assert bumped != rec == ("0,2,2", 1, 3, 100, None, None, None, None, "ok", 0, "")
     full = ExperimentRecord("0,2,2", 1, 3, 100, 2, 3, -8, 27, "inconsistent", 5, "a note")
     assert dict(zip(CSV_HEADER.split(","), full.csv_cells(), strict=True)) == {
         "recurrence": "0,2,2", "s": "1", "L": "3", "bound": "100",
         "first_nonunique_N": "2", "count_at_N": "3", "lemma22": "-8",
         "counterexample_N": "27", "status": "inconsistent", "elapsed_ms": "5"}
-    assert rec.csv_cells() == ["0,2,2", "1", "3", "100", "", "2", "", "", "ok", "0"]
+    assert bumped.csv_cells() == ["0,2,2", "1", "3", "100", "", "2", "", "", "ok", "0"]
 
 
 def test_probe_never_aborts_on_errors():
