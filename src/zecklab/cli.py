@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 invalid recurrence, 2 invalid decomposition text,
 a malformed option, a term index above MAX_INDEX or an unwritable --out path,
 3 scan exhausted under --expect-find, 4 internal inconsistency (oracle
 mismatch, counterexample verification failure, or the constant family ``1``),
-5 enumeration budget or oracle bound exceeded, or a probe grid above it.
+5 enumeration budget or oracle bound exceeded, or a probe grid of more than
+MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ EXIT_NOT_FOUND = 3
 EXIT_INCONSISTENT = 4
 EXIT_BUDGET = 5
 MAX_INDEX = 10**4  # the largest term index that seq and check grow the table to
-# (exception classes, exit code, label) for a failed command; the first row
-# that matches wins
+MAX_GRID_POINTS = 10**5  # the most grid points probe lists before its sweep
+# (exception classes, exit code, label) of a failed command; the first match wins
 FAILURES = (
     (RecurrenceError, EXIT_BAD_RECURRENCE, "invalid recurrence"),
     (DecompositionTextError, EXIT_BAD_DECOMP, "invalid decomposition"),
@@ -272,15 +273,9 @@ def _grid(text: str) -> tuple[list[int], list[int], int]:
 
 
 def _cmd_probe(args, handle):
-    # count the grid before listing it: per span, lead and last coefficients
-    # run over 1..c_max and interior ones over 0..c_max
-    depths, spans, c_max = args.grid
-    points = len(depths) * sum(c_max ** min(span, 2) * (c_max + 1) ** max(span - 2, 0)
-                               for span in spans)
-    if points > args.budget:
-        raise BudgetExceededError(f"grid of {points} points exceeds budget {args.budget}")
-    # streams its rows; open the output first, so an unusable path fails
-    # before the sweep runs
+    texts, skipped = expand_grid(*args.grid, limit=MAX_GRID_POINTS)
+    # streams its rows; open the output before the sweep, so an unusable
+    # path fails before any family runs
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
@@ -288,7 +283,6 @@ def _cmd_probe(args, handle):
                               f"{exc.strerror}")], EXIT_BAD_DECOMP
     records = []
     try:
-        texts, skipped = expand_grid(depths, spans, c_max)
         for note in skipped:
             print(f"skipped invalid grid point: {note}", file=sys.stderr)
         writer = csv.writer(out)

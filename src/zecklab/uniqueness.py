@@ -8,15 +8,17 @@ computes the quantity whose negativity places N inside that window;
 ``construct_counterexample`` builds and verifies the two candidate
 decompositions and reports exactly what holds.
 
-``CounterexampleReport``, ``UniquenessReport`` and ``ExperimentRecord`` are
-NamedTuples, with tuple semantics: indexing, unpacking, equality with an
-equal plain tuple.
+``CounterexampleReport`` and ``UniquenessReport`` are NamedTuples, with tuple
+semantics: indexing, unpacking, equality with an equal plain tuple.
+``ExperimentRecord`` is a small mutable class instead, so a caller can amend
+a row in place.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -198,46 +200,66 @@ CSV_HEADER = (
 )
 
 
-class ExperimentRecord(NamedTuple):
-    """One row of a sweep: everything measured for a single family."""
+class ExperimentRecord:
+    """One row of a sweep: everything measured for a single family.  Mutable;
+    rows compare field by field."""
 
-    recurrence: str
-    s: int
-    L: int
-    bound: int
-    first_nonunique_n: int | None = None
-    count_at_n: int | None = None
-    slack: int | None = None
-    counterexample_n: int | None = None
-    status: str = "ok"
-    elapsed_ms: int = 0
-    note: str = ""
+    __match_args__ = ("recurrence", "s", "L", "bound", "first_nonunique_n", "count_at_n",
+                      "slack", "counterexample_n", "status", "elapsed_ms", "note")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, recurrence: str, s: int, L: int, bound: int,
+                 first_nonunique_n: int | None = None, count_at_n: int | None = None,
+                 slack: int | None = None, counterexample_n: int | None = None,
+                 status: str = "ok", elapsed_ms: int = 0, note: str = ""):
+        self.recurrence, self.s, self.L, self.bound = recurrence, s, L, bound
+        self.first_nonunique_n, self.count_at_n = first_nonunique_n, count_at_n
+        self.slack, self.counterexample_n = slack, counterexample_n
+        self.status, self.elapsed_ms, self.note = status, elapsed_ms, note
+
+    def _cells(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cells() == other._cells()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
 
     def csv_cells(self) -> list[str]:
         """Every field but the trailing ``note``, in ``CSV_HEADER``'s order."""
-        return ["" if v is None else str(v) for v in self[:-1]]
+        return ["" if v is None else str(v) for v in self._cells()[:-1]]
 
 
 def expand_grid(
-    depths: range | list[int], spans: range | list[int], c_max: int
+    depths: range | list[int], spans: range | list[int], c_max: int,
+    limit: int | None = None,
 ) -> tuple[list[str], list[str]]:
     """All coefficient texts with the given depths and span = order - depth.
 
     Lead and last coefficients range over 1..c_max, interior ones over
     0..c_max.  Returns (valid_texts, skipped_notes); grid points rejected by
     the parser (degenerate index sets) land in the notes.  A depth below 0
-    or a span below 1 raises ValueError.
+    or a span below 1 raises ValueError; a grid of more than ``limit``
+    points raises BudgetExceededError before any point is listed.
     """
     if any(s < 0 for s in depths):
         raise ValueError(f"depths must be >= 0, got {list(depths)}")
     if any(span < 1 for span in spans):
         raise ValueError(f"spans must be >= 1, got {list(spans)}")
+    leads, inner = range(1, c_max + 1), range(c_max + 1)
+    shapes = [[leads, *[inner] * (span - 2), leads] if span > 1 else [leads]
+              for span in spans]
+    points = len(depths) * sum(prod(map(len, ranges)) for ranges in shapes)
+    if limit is not None and points > limit:
+        raise BudgetExceededError(f"grid of {points} points exceeds limit {limit}")
     valid: list[str] = []
     skipped: list[str] = []
-    leads, inner = range(1, c_max + 1), range(c_max + 1)
     for s in depths:
-        for span in spans:
-            ranges = [leads, *[inner] * (span - 2), leads] if span > 1 else [leads]
+        for ranges in shapes:
             for tail in product(*ranges):
                 text = ",".join(str(v) for v in (0,) * s + tail)
                 try:

@@ -9,7 +9,7 @@ from zecklab import cli
 from zecklab.cli import MAX_INDEX, main
 from zecklab.legality import parse_decomposition
 from zecklab.sequence import SequenceHandle
-from zecklab.uniqueness import CounterexampleReport, expand_grid
+from zecklab.uniqueness import CounterexampleReport
 
 
 def run(capsys, *argv):
@@ -152,8 +152,9 @@ GOLDEN = [
     ("enumerate --rec 0,1,1 --n 501 --oracle --json", 5,
      '{"error": "budget exceeded", "reason": "value 501 exceeds oracle bound 500", '
      '"diagnostics": {}}\n', ""),
-    # the default grid names 90 families; it is counted, not listed
-    ("probe --budget 10", 5, "", "budget exceeded: grid of 90 points exceeds budget 10\n"),
+    # 3.6e12 grid points are counted, not listed
+    ("probe --grid s=0..3,span=1..12,c=0..9", 5, "",
+     "budget exceeded: grid of 3600000000000 points exceeds limit 100000\n"),
 ]
 
 
@@ -386,16 +387,19 @@ def test_probe_keeps_the_other_rows_when_a_family_raises(tmp_path, capsys):
     assert rows["1,1"]["status"] == "ok"
 
 
-@pytest.mark.parametrize("grid", ["s=1..2,span=2..3,c=0..3", "s=0..1,span=1..2,c=0..2",
-                                  "s=1;3,span=1..4,c=0..2"])
-def test_probe_counts_its_grid_before_listing_it(grid, tmp_path, capsys):
-    texts, skipped = expand_grid(*cli._grid(grid))
-    points, out = len(texts) + len(skipped), tmp_path / "probe.csv"
-    argv = ("probe", "--grid", grid, "--max", "20", "--out", str(out), "--budget")
-    assert run(capsys, *argv, str(points - 1)) == (
-        5, "", f"budget exceeded: grid of {points} points exceeds budget {points - 1}\n")
+def test_probe_refuses_a_grid_above_its_limit_before_writing(monkeypatch, tmp_path, capsys):
+    # the default grid, s=1..2,span=2..3,c=0..3, names 90 families
+    out = tmp_path / "probe.csv"
+    argv = ("probe", "--max", "20", "--out", str(out))
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 89)
+    assert run(capsys, *argv) == (
+        5, "", "budget exceeded: grid of 90 points exceeds limit 89\n")
     assert not out.exists()
-    assert run(capsys, *argv, str(points))[0] != 5 and out.exists()
+    # the enumeration budget bounds each family, not the grid
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 90)
+    assert run(capsys, *argv, "--budget", "10")[0] == 0
+    # a header, then one row per valid point: 9 of the 90 are skipped
+    assert len(out.read_text().splitlines()) == 1 + 81
 
 
 def test_probe_rows_deterministic_modulo_timing(tmp_path, capsys):

@@ -20,7 +20,12 @@ from zecklab import (
     verify_uniqueness_range,
 )
 from zecklab import uniqueness
-from zecklab.errors import ConstructionFailedError, NonProgressError, NotApplicableError
+from zecklab.errors import (
+    BudgetExceededError,
+    ConstructionFailedError,
+    NonProgressError,
+    NotApplicableError,
+)
 
 
 def test_slack_value_for_0_2_2(handles):
@@ -117,7 +122,8 @@ def test_probe_family_notes_a_second_decomposition_found_by_enumeration(monkeypa
     report = CounterexampleReport(27, 1, None, None, True, 2, False, None)
     monkeypatch.setattr(uniqueness, "construct_counterexample", lambda h, budget: report)
     [rec] = probe_family(["0,2,2"], bound=50)
-    assert rec._replace(elapsed_ms=0) == ExperimentRecord(
+    rec.elapsed_ms = 0
+    assert rec == ExperimentRecord(
         "0,2,2", 1, 3, 50, 2, 2, -8, 27, "ok", 0,
         "second decomposition found by enumeration")
 
@@ -158,6 +164,15 @@ def test_expand_grid_skips_degenerate_points():
         parse_recurrence(t)
 
 
+@pytest.mark.parametrize("depths, spans, c_max, points", [
+    ([1, 2], [2, 3], 3, 90), ([0, 1], [1, 2], 2, 12), ([1, 3], [1, 2, 3, 4], 2, 108)])
+def test_expand_grid_counts_its_points_before_listing_them(depths, spans, c_max, points):
+    texts, skipped = expand_grid(depths, spans, c_max, limit=points)
+    assert len(texts) + len(skipped) == points
+    with pytest.raises(BudgetExceededError, match=f"grid of {points} points exceeds limit"):
+        expand_grid(depths, spans, c_max, limit=points - 1)
+
+
 @pytest.mark.parametrize("depths, spans", [(range(-1, 0), [2]), ([1], range(0, 3))])
 def test_expand_grid_rejects_negative_depths_and_empty_spans(depths, spans):
     with pytest.raises(ValueError):
@@ -191,14 +206,16 @@ def test_experiment_record_keeps_the_dataclass_behaviour():
         "ExperimentRecord(recurrence='0,2,2', s=1, L=3, bound=100, "
         "first_nonunique_n=None, count_at_n=None, slack=None, counterexample_n=None, "
         "status='ok', elapsed_ms=0, note='')")
-    bumped = rec._replace(count_at_n=2)
-    assert bumped != rec == ("0,2,2", 1, 3, 100, None, None, None, None, "ok", 0, "")
+    rec.count_at_n = 2
+    assert rec.count_at_n == 2 and rec != ExperimentRecord("0,2,2", 1, 3, 100)
+    with pytest.raises(TypeError):
+        hash(rec)
     full = ExperimentRecord("0,2,2", 1, 3, 100, 2, 3, -8, 27, "inconsistent", 5, "a note")
     assert dict(zip(CSV_HEADER.split(","), full.csv_cells(), strict=True)) == {
         "recurrence": "0,2,2", "s": "1", "L": "3", "bound": "100",
         "first_nonunique_N": "2", "count_at_N": "3", "lemma22": "-8",
         "counterexample_N": "27", "status": "inconsistent", "elapsed_ms": "5"}
-    assert bumped.csv_cells() == ["0,2,2", "1", "3", "100", "", "2", "", "", "ok", "0"]
+    assert rec.csv_cells() == ["0,2,2", "1", "3", "100", "", "2", "", "", "ok", "0"]
 
 
 def test_probe_never_aborts_on_errors():
