@@ -246,17 +246,18 @@ def _cmd_counterexample(args, handle):
     return payload, lines, EXIT_OK
 
 
-def _parse_range(text: str, kind=_natural) -> list[int]:
-    """"lo..hi" or "a;b;c", each bound parsed by the argparse type ``kind``."""
+def _parse_range(text: str, kind=_natural) -> range | list[int]:
+    """"lo..hi" as a range, "a;b;c" as a list, each bound parsed by the
+    argparse type ``kind``."""
     lo, dots, hi = text.partition("..")
-    values = (list(range(kind(lo.strip()), kind(hi.strip()) + 1)) if dots
+    values = (range(kind(lo.strip()), kind(hi.strip()) + 1) if dots
               else [kind(p.strip()) for p in text.split(";")])
     if not values:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     return values
 
 
-def _grid(text: str) -> tuple[list[int], list[int], int]:
+def _grid(text: str) -> tuple[range | list[int], range | list[int], int]:
     """argparse type: "s=1..2,span=2..3,c=0..3" as (depths, spans, c_max)."""
     grid = {"s": "1..2", "span": "2..3", "c": "0..3"}
     for part in text.split(","):
@@ -267,7 +268,9 @@ def _grid(text: str) -> tuple[list[int], list[int], int]:
     depths = _parse_range(grid["s"])
     spans = _parse_range(grid["span"], _positive)
     coefficients = _parse_range(grid["c"])
-    if coefficients != list(range(len(coefficients))):
+    # a range compares with a range in O(1); a list is the user's own short list
+    expected = range(len(coefficients))
+    if coefficients != (expected if isinstance(coefficients, range) else list(expected)):
         raise argparse.ArgumentTypeError(f"c must run from 0: {grid['c']!r}")
     return depths, spans, coefficients[-1]
 
@@ -281,7 +284,7 @@ def _cmd_probe(args, handle):
     except OSError as exc:
         return None, [_Stderr(f"error: argument --out: cannot write {args.out!r}: "
                               f"{exc.strerror}")], EXIT_BAD_DECOMP
-    records = []
+    rows = findings = 0
     try:
         for note in skipped:
             print(f"skipped invalid grid point: {note}", file=sys.stderr)
@@ -294,14 +297,14 @@ def _cmd_probe(args, handle):
                 print(f"error: family {text}: {exc}", file=sys.stderr)
                 continue
             writer.writerow(rec.csv_cells())
-            records.append(rec)
+            rows += 1
+            findings += rec.status != "ok"
     finally:
         if args.out:
             out.close()
-    findings = [r for r in records if r.status != "ok"]
-    lines = [_Stderr(f"{len(findings)} of {len(records)} families reported a non-ok "
+    lines = [_Stderr(f"{findings} of {rows} families reported a non-ok "
                      "status; inspect the CSV")] if findings else []
-    return None, lines, EXIT_INCONSISTENT if len(records) < len(texts) else EXIT_OK
+    return None, lines, EXIT_INCONSISTENT if rows < len(texts) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

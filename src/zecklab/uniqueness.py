@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from itertools import product
-from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .greedy import greedy_decompose
 from .legality import Decomposition, evaluate, is_legal
-from .recurrence import construction_applies, parse_recurrence
+from .recurrence import RecurrenceSpec, construction_applies, parse_recurrence
 from .enumerator import DEFAULT_GRAMMAR_BUDGET, enumerate_legal, first_nonunique
 from .sequence import SequenceHandle
 
@@ -42,6 +41,12 @@ def _require_construction(handle: SequenceHandle) -> None:
         )
 
 
+def _prefix(spec: RecurrenceSpec) -> dict[int, int]:
+    """The construction's fixed prefix: c_{s+k} copies of G_{L+3-k}, k = 1..L-s-1."""
+    c, s, L = spec.coefficients, spec.depth, spec.order
+    return {L + 3 - k: c[s + k - 1] for k in range(1, L - s) if c[s + k - 1]}
+
+
 def construction_slack(handle: SequenceHandle) -> int:
     """G_{s+L+2} minus the construction's fixed prefix value minus G_{s+3}.
 
@@ -49,11 +54,9 @@ def construction_slack(handle: SequenceHandle) -> int:
     G_{s+L+2}, i.e. into the intended window.
     """
     _require_construction(handle)
-    c, s, L = handle.spec.coefficients, handle.spec.depth, handle.spec.order
-    total = handle.term(s + L + 2)
-    for k in range(1, L - s):
-        total -= c[s + k - 1] * handle.term(L + 3 - k)
-    return total - handle.term(s + 3)
+    s, L = handle.spec.depth, handle.spec.order
+    prefix = sum(mult * handle.term(idx) for idx, mult in _prefix(handle.spec).items())
+    return handle.term(s + L + 2) - prefix - handle.term(s + 3)
 
 
 def case1_slack_closed_form(handle: SequenceHandle) -> int:
@@ -103,21 +106,12 @@ def construct_counterexample(
     BudgetExceededError (with the same diagnostics) when N exceeds ``budget``.
     """
     _require_construction(handle)
-    c, s, L = handle.spec.coefficients, handle.spec.depth, handle.spec.order
+    s, L = handle.spec.depth, handle.spec.order
     g_s3, g_s4 = handle.term(s + 3), handle.term(s + 4)
-    x_cap = min(g_s3, g_s4 - g_s3)
-    diagnostics: dict = {"recurrence": handle.spec.text, "x_cap": x_cap}
-    if x_cap <= 1:
-        raise ConstructionFailedError(
-            f"no valid offset: min(G_{s+3}, G_{s+4}-G_{s+3}) = {x_cap} <= 1",
-            diagnostics,
-        )
+    # x_cap >= 3 on every applicable family (README), so the offset x = 1 fits
+    diagnostics: dict = {"recurrence": handle.spec.text, "x_cap": min(g_s3, g_s4 - g_s3)}
     x = 1
-    prefix = {
-        L + 3 - k: c[s + k - 1]
-        for k in range(1, L - s)
-        if c[s + k - 1]
-    }
+    prefix = _prefix(handle.spec)
     n_value = sum(mult * handle.term(idx) for idx, mult in prefix.items()) + g_s3 + x
     lo, hi = handle.term(L + s + 2), handle.term(L + s + 3)
     window_ok = lo < n_value < hi
@@ -145,14 +139,8 @@ def construct_counterexample(
         raise ConstructionFailedError(
             "primary decomposition or window bound failed verification", diagnostics
         )
-    decomp_b = None
-    if b_legal and candidate_b != decomp_a:
-        decomp_b = candidate_b
-    else:
-        for d in all_decomps:
-            if d != decomp_a:
-                decomp_b = d
-                break
+    others = (d for d in all_decomps if d != decomp_a)
+    decomp_b = candidate_b if b_legal and candidate_b != decomp_a else next(others, None)
     if decomp_b is None:
         raise ConstructionFailedError(
             f"N = {n_value} admits no second legal decomposition "
@@ -244,23 +232,26 @@ def expand_grid(
     0..c_max.  Returns (valid_texts, skipped_notes); grid points rejected by
     the parser (degenerate index sets) land in the notes.  A depth below 0
     or a span below 1 raises ValueError; a grid of more than ``limit``
-    points raises BudgetExceededError before any point is listed.
+    points raises BudgetExceededError before any point is listed: the count
+    is read off the lengths of the ranges.
     """
-    if any(s < 0 for s in depths):
-        raise ValueError(f"depths must be >= 0, got {list(depths)}")
-    if any(span < 1 for span in spans):
-        raise ValueError(f"spans must be >= 1, got {list(spans)}")
+    for name, values, least in (("depths", depths, 0), ("spans", spans, 1)):
+        # a range is checked at its two ends, so a long one is never walked
+        ends = (values[0], values[-1]) if isinstance(values, range) and values else values
+        if any(v < least for v in ends):
+            raise ValueError(f"{name} must be >= {least}, got {values}")
     leads, inner = range(1, c_max + 1), range(c_max + 1)
-    shapes = [[leads, *[inner] * (span - 2), leads] if span > 1 else [leads]
-              for span in spans]
-    points = len(depths) * sum(prod(map(len, ranges)) for ranges in shapes)
+    points = len(depths) * sum(
+        len(leads) if span == 1 else len(leads) ** 2 * len(inner) ** (span - 2)
+        for span in spans)
     if limit is not None and points > limit:
         raise BudgetExceededError(f"grid of {points} points exceeds limit {limit}")
     valid: list[str] = []
     skipped: list[str] = []
     for s in depths:
-        for ranges in shapes:
-            for tail in product(*ranges):
+        for span in spans:
+            tails = product(leads, *[inner] * (span - 2), leads) if span > 1 else product(leads)
+            for tail in tails:
                 text = ",".join(str(v) for v in (0,) * s + tail)
                 try:
                     parse_recurrence(text)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -400,6 +401,19 @@ def test_probe_refuses_a_grid_above_its_limit_before_writing(monkeypatch, tmp_pa
     assert run(capsys, *argv, "--budget", "10")[0] == 0
     # a header, then one row per valid point: 9 of the 90 are skipped
     assert len(out.read_text().splitlines()) == 1 + 81
+
+
+def test_probe_counts_a_grid_from_its_bounds(capsys):
+    # 3,000,001 depths are counted from the range's bounds, never listed
+    tracemalloc.start()
+    try:
+        code = main(["probe", "--grid", "s=0..3000000,span=1,c=0..1", "--budget", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 5 and peak < 5 * 2**20, peak
+    assert capsys.readouterr().err == (
+        "budget exceeded: grid of 3000001 points exceeds limit 100000\n")
 
 
 def test_probe_rows_deterministic_modulo_timing(tmp_path, capsys):

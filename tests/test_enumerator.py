@@ -257,3 +257,20 @@ def test_every_enumerated_decomposition_checks_out(handles):
             for d in enumerate_legal(h, n):
                 assert evaluate(d, h) == n
                 assert is_legal(d, h).legal
+
+
+def test_every_value_has_a_legal_decomposition_on_the_grid():
+    # the paper's existence claim, checked by the grammar sweep without greedy:
+    # every value 1..300 of every non-constant grid family has a legal
+    # decomposition, and a depth-0 family has exactly one
+    texts = [t for t in expand_grid(range(0, 4), range(1, 5), 4)[0] if t != "1"]
+    assert len(texts) == 1939
+    for i, text in enumerate(texts):
+        h = SequenceHandle.from_text(text)
+        buckets = decompositions_up_to(h, 300)
+        assert set(buckets) == set(range(1, 301)), text
+        if h.spec.depth == 0:
+            assert all(len(found) == 1 for found in buckets.values()), text
+        if i % 97 == 0:  # the oracle walks the automaton, not the head expander
+            for v in range(1, 41):
+                assert len(buckets[v]) == len(naive_oracle(h, v)), (text, v)

@@ -5,6 +5,7 @@ import pytest
 from zecklab import (
     CSV_HEADER,
     CounterexampleReport,
+    Decomposition,
     ExperimentRecord,
     SequenceHandle,
     case1_slack_closed_form,
@@ -14,6 +15,8 @@ from zecklab import (
     enumerate_legal,
     evaluate,
     expand_grid,
+    first_nonunique,
+    greedy_decompose,
     is_legal,
     parse_recurrence,
     probe_family,
@@ -229,3 +232,69 @@ def test_probe_family_raises_for_the_constant_family():
     # probes one family at a time and keeps the other rows
     with pytest.raises(NonProgressError, match="sequence is constant"):
         probe_family(["1"], bound=50)
+
+
+def test_every_offset_below_x_cap_fails_the_direct_candidate():
+    # criterion 8's lemma for every offset x = 1..x_cap-1 (README): N(x) lies in
+    # the window, the direct candidate prefix + greedy(G_{s+3}+x) dies at word
+    # position L+s on a nonzero digit, and every legal decomposition of N(x)
+    # is the prefix and G_{s+3} over a decomposition worth x; each legal
+    # decomposition of x lifts to one of N(x)
+    pairs = nonunique = 0
+    for text in grid_specs(range(0, 4), range(1, 5), 4):
+        h = SequenceHandle(parse_recurrence(text))
+        if not construction_applies(h.spec):
+            continue
+        s, L = h.spec.depth, h.spec.order
+        g_s3 = h.term(s + 3)
+        x_cap = min(g_s3, h.term(s + 4) - g_s3)
+        assert x_cap >= 3, text  # the proof in README
+        prefix = uniqueness._prefix(h.spec)
+        fixed = {**prefix, s + 3: 1}
+        base = sum(mult * h.term(idx) for idx, mult in fixed.items())
+        first = None
+        for x in range(1, x_cap):
+            assert h.term(L + s + 2) < base + x < h.term(L + s + 3), (text, x)
+            # greedy(G_{s+3}+x) stays below G_{s+4}, under the prefix
+            candidate = Decomposition.from_dict(prefix | greedy_decompose(h, g_s3 + x).to_dict())
+            assert evaluate(candidate, h) == base + x, (text, x)
+            verdict = is_legal(candidate, h)
+            death = re.search(r"dies at position (\d+) on digit (\d+)$", verdict.reason)
+            assert not verdict.legal and int(death[1]) == L + s and int(death[2]), (text, x)
+            rests = set()
+            for d in enumerate_legal(h, base + x):
+                assert {i: m for i, m in d.summands if i >= s + 3} == fixed, (text, x, d)
+                rests.add(Decomposition(tuple((i, m) for i, m in d.summands if i < s + 3)))
+            assert enumerate_legal(h, x) <= rests, (text, x)
+            pairs += 1
+            if len(rests) >= 2:
+                nonunique += x >= 2
+                first = first or x
+        # x = 2 is the first non-unique offset, and s + 1 <= x_cap the family's
+        # first non-unique value
+        assert first == 2 and first_nonunique(h, x_cap) == (s + 1, 2), text
+    assert (pairs, nonunique) == (3405, 1488)
+
+
+def test_construction_refuses_sums_that_miss_n(monkeypatch, handles):
+    real = uniqueness.greedy_decompose
+    monkeypatch.setattr(uniqueness, "greedy_decompose", lambda h, n: real(h, n + 1))
+    with pytest.raises(ConstructionFailedError, match="constructed sums do not evaluate to N"):
+        construct_counterexample(handles("0,2,2"))
+
+
+def test_construction_refuses_a_rejected_primary(monkeypatch, handles):
+    real = uniqueness.is_legal
+    monkeypatch.setattr(uniqueness, "is_legal", lambda d, h: real(d, h)._replace(legal=False))
+    with pytest.raises(ConstructionFailedError, match="primary decomposition or window") as exc:
+        construct_counterexample(handles("0,2,2"))
+    assert exc.value.diagnostics["decompA_legal"] is False
+
+
+def test_construction_reports_a_second_decomposition_from_the_enumeration(monkeypatch, handles):
+    # no grid family has one at x = 1, so the enumeration is stubbed
+    a, b = Decomposition.from_dict({5: 2, 4: 1, 1: 1}), Decomposition.from_dict({5: 2, 4: 1, 2: 1})
+    monkeypatch.setattr(uniqueness, "enumerate_legal", lambda h, n, budget: {a, b})
+    assert construct_counterexample(handles("0,2,2")) == CounterexampleReport(
+        n_value=27, x=1, decompA=a, decompB=b, window_ok=True, count_at_n=2,
+        direct_pair_legal=False, direct_candidate=Decomposition.from_dict({5: 2, 3: 2, 1: 1}))
