@@ -34,7 +34,9 @@ rules, and ``reject_at``'s positions to a plain forward walk.
 
 Each ``SequenceHandle`` makes the start states on first use and holds them.
 Reads fill the automata and the derivation walk's memos; callers never
-write them, and a handle and its automata belong to one thread.
+write them, and a handle and its automata belong to one thread.  So does a
+``LegalityVerdict``, which reads its handle's automata when its ``blocks`` or
+``reason`` is first read.
 """
 
 from __future__ import annotations

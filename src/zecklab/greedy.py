@@ -11,9 +11,8 @@ after a block, at the largest matching index below the block's stop index;
 for the target itself, at the largest matching index, unless that index
 sits below the window top and ``is_legal`` rejects the bare summand's
 leading zeros.  Otherwise the block step runs.  Each traced ``BlockStep``
-(a NamedTuple) lists its block's takes as they are made.  ``is_legal``
-judges a result by deriving it: the backward pass decides, and
-``reject_at`` only explains a rejection.
+(a NamedTuple) lists its block's takes as they are made.  The bare-summand
+test reads only ``is_legal``'s ``.legal``, which one backward scan decides.
 """
 
 from __future__ import annotations

@@ -20,25 +20,25 @@ Words are decided, derived and explained in ``automaton``, which compiles
 these rules into an NFA and determinises it by subsets as the handle's
 words are read; this module re-exports ``word_is_legal`` and
 ``word_derivation``, which take bare words.  ``is_legal``, the one judge of a
-decomposition, derives its word: the backward pass decides legality, and only
-an illegal word is run forward by ``reject_at``, so that its reason can say at
-which digit the automaton dies.
+decomposition, decides its word by one backward ``word_is_legal`` scan.  Its
+verdict derives a legal word (``word_derivation``) or runs an illegal one
+forward (``reject_at``, so that the reason can say at which digit the
+automaton dies) only when ``blocks`` or ``reason`` is first read.
 
 A *decomposition* is judged at the alignment its value dictates: the window
 top m = max{n : G_n <= value}.  The grammar itself is value-blind; pinning
 the alignment to the value's window is what makes "which sums are legal for
 N" well defined even for families whose early terms are not monotone.
 
-``LegalityVerdict`` and ``DerivationBlock`` are NamedTuples, with tuple
-semantics: indexing, unpacking, equality with an equal plain tuple.
-``Decomposition`` is a small immutable class instead, equal only to another
+``DerivationBlock`` is a NamedTuple, with tuple semantics: indexing,
+unpacking, equality with an equal plain tuple.  ``LegalityVerdict`` is a small
+class, since it builds two of its attributes on first read.
+``Decomposition`` is a small immutable class, equal only to another
 Decomposition and never a tuple, so that greedy's ``(result, steps)`` pair is
 told from a bare result by ``isinstance(result, tuple)``.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .automaton import DerivationBlock, reject_at, word_derivation, word_is_legal
 from .errors import AlignmentTooSmallError, DecompositionTextError
@@ -167,11 +167,36 @@ def evaluate(d: Decomposition, handle: SequenceHandle) -> int:
     return total
 
 
-class LegalityVerdict(NamedTuple):
-    legal: bool
-    alignment: int
-    blocks: tuple[DerivationBlock, ...] | None = None
-    reason: str | None = None
+class LegalityVerdict:
+    """Whether a decomposition is legal at ``alignment``, its derivation
+    ``blocks`` (None when illegal) and the ``reason`` it is not (None when
+    legal).  A verdict of ``is_legal`` holds the judged decomposition and
+    handle, builds ``blocks`` or ``reason`` from them on first read and keeps
+    it, so it belongs to its handle's thread."""
+
+    __slots__ = ("legal", "alignment", "_blocks", "_reason", "_judged")
+
+    def __init__(self, legal: bool, alignment: int,
+                 blocks: tuple[DerivationBlock, ...] | None = None, reason: str | None = None):
+        self.legal, self.alignment, self._blocks, self._reason = legal, alignment, blocks, reason
+        self._judged = None  # (decomposition, handle), set by is_legal
+
+    @property
+    def blocks(self) -> tuple[DerivationBlock, ...] | None:
+        if self._blocks is None and self.legal and self._judged:
+            d, handle = self._judged
+            self._blocks = word_derivation(d.dense(self.alignment), handle)
+        return self._blocks
+
+    @property
+    def reason(self) -> str | None:
+        if self._reason is None and not self.legal and self._judged:
+            (d, handle), m = self._judged, self.alignment
+            word = d.dense(m)
+            at = reject_at(word, handle)  # <= m: the word has a nonzero digit
+            self._reason = (f"no grammar derivation for word {word} at window alignment {m}: "
+                            f"the automaton dies at position {at} on digit {word[at - 1]}")
+        return self._reason
 
 
 def replay_derivation(
@@ -205,21 +230,14 @@ def window_alignment(d: Decomposition, handle: SequenceHandle) -> int:
 
 
 def is_legal(d: Decomposition, handle: SequenceHandle) -> LegalityVerdict:
-    """Judge a decomposition against the grammar at its value's window: the
-    derivation's backward pass decides, and ``reject_at`` scans an illegal
-    word only to say where it dies.  The empty decomposition is legal for 0.
+    """Judge a decomposition against the grammar at its value's window by one
+    ``word_is_legal`` scan; the verdict derives a legal word, or runs an
+    illegal one through ``reject_at``, only when its caller reads ``blocks``
+    or ``reason``.  The empty decomposition is legal for 0.
     """
     if not d:
         return LegalityVerdict(legal=True, alignment=0, blocks=())
     m = window_alignment(d, handle)
-    word = d.dense(m)
-    blocks = word_derivation(word, handle)
-    if blocks is not None:
-        return LegalityVerdict(legal=True, alignment=m, blocks=blocks)
-    at = reject_at(word, handle)  # <= m: the word has a nonzero digit
-    return LegalityVerdict(
-        legal=False,
-        alignment=m,
-        reason=f"no grammar derivation for word {word} at window alignment {m}: "
-               f"the automaton dies at position {at} on digit {word[at - 1]}",
-    )
+    verdict = LegalityVerdict(word_is_legal(d.dense(m), handle), m)
+    verdict._judged = d, handle
+    return verdict

@@ -241,9 +241,14 @@ def expand_grid(
         if any(v < least for v in ends):
             raise ValueError(f"{name} must be >= {least}, got {values}")
     leads, inner = range(1, c_max + 1), range(c_max + 1)
-    points = len(depths) * sum(
-        len(leads) if span == 1 else len(leads) ** 2 * len(inner) ** (span - 2)
-        for span in spans)
+    k, n = len(leads), len(inner)
+    if isinstance(spans, range) and spans.step == 1 and spans and k:
+        # k for span 1, plus the geometric sum of k*k*n**(span - 2) over spans >= 2
+        lo, hi = max(spans.start, 2), spans[-1]
+        per_depth = k * (1 in spans) + k * k * (n ** (hi - 1) - n ** (lo - 2)) // (n - 1)
+    else:
+        per_depth = sum(k if span == 1 else k * k * n ** (span - 2) for span in spans)
+    points = len(depths) * per_depth
     if limit is not None and points > limit:
         raise BudgetExceededError(f"grid of {points} points exceeds limit {limit}")
     valid: list[str] = []

@@ -136,6 +136,16 @@ def test_totality_property(text, n):
     assert is_legal(d, h).legal
 
 
+def test_greedy_is_total_and_legal_on_the_whole_grid():
+    # the paper's existence claim by greedy, for every n <= 50 on every grid
+    # family but the constant one; fresh handles, so no other test's reads count
+    for text in GRID:
+        h = SequenceHandle.from_text(text)
+        for n in range(51):
+            d = greedy_decompose(h, n)
+            assert evaluate(d, h) == n and is_legal(d, h).legal, (text, n, str(d))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(GRID), st.integers(0, 10**50))
 def test_greedy_is_total_legal_and_replays_on_the_grid(handles, text, n):

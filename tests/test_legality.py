@@ -10,6 +10,7 @@ from zecklab import (
     Decomposition,
     DerivationBlock,
     Kind,
+    LegalityVerdict,
     RecurrenceSpec,
     SequenceHandle,
     canonicalize,
@@ -205,11 +206,17 @@ def test_decomposition_keeps_the_frozen_record_behaviour():
     assert not isinstance(d, tuple)
 
 
-def test_verdict_is_a_named_tuple(handles):
+def test_verdict_keeps_what_its_keyword_constructor_is_given(handles):
+    made = LegalityVerdict(legal=False, alignment=10, blocks=())
+    assert (made.legal, made.alignment, made.blocks, made.reason) == (False, 10, (), None)
+    made = LegalityVerdict(legal=True, alignment=3, reason="why")
+    assert (made.legal, made.alignment, made.blocks, made.reason) == (True, 3, None, "why")
     verdict = is_legal(parse_decomposition("8:3,7:1"), handles("0,2,2"))
-    legal, alignment, blocks, reason = verdict
-    assert verdict[:3] == (False, 10, None) and verdict == tuple(verdict)
-    assert reason.startswith("no grammar derivation")
+    assert (verdict.legal, verdict.alignment, verdict.blocks) == (False, 10, None)
+    assert verdict.reason.startswith("no grammar derivation")
+    assert not isinstance(verdict, tuple)
+    with pytest.raises(AttributeError):
+        verdict.other = 1
 
 
 def test_evaluate_examples(handles):
@@ -380,10 +387,11 @@ def test_derivation_blocks_are_whole_records(handles):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(GRID), st.integers(1, 10**30), st.integers(0, 1 << 30))
 def test_verdicts_derive_first_and_explain_by_the_scan(handles, text, n, selector):
-    # is_legal decides by the derivation's backward pass and runs only an
-    # illegal word forward, for its reason.  Judge greedy results and copies
-    # with one summand bumped by 1, as the point-queries benchmark does; the
-    # reason's position comes from the memo-free reference walk.
+    # is_legal decides by one backward scan; reading blocks derives a legal
+    # word, and reading reason runs an illegal one forward.  Judge greedy
+    # results and copies with one summand bumped by 1, as the point-queries
+    # benchmark does; the reason's position comes from the memo-free
+    # reference walk.
     h = handles(text)
     try:
         d = greedy_decompose(h, n)
@@ -430,13 +438,13 @@ def test_each_handle_owns_its_automata():
     # enumerating on one leaves the other's automata, derivation memos and
     # word memo empty, and each makes its automata once
     a, b = SequenceHandle.from_text("0,2,2"), SequenceHandle.from_text("0,2,2")
-    assert is_legal(greedy_decompose(a, 164), a).legal
+    assert is_legal(greedy_decompose(a, 164), a).blocks
     backward, forward = a.reverse_automaton
     assert not forward  # a legal verdict leaves the forward automaton unread
     illegal = parse_decomposition("8:3,7:1")
     verdict = is_legal(illegal, a)
     word = illegal.dense(verdict.alignment)
-    assert not verdict.legal
+    assert not verdict.legal and verdict.reason
     assert enumerate_legal(a, 164)
     assert any(memo for state in states_read(backward) for memo in state.memo)
     assert not any(b.reverse_automaton)
@@ -450,6 +458,27 @@ def test_each_handle_owns_its_automata():
     assert not {*states_read(backward), *states_read(forward)} & {*b.reverse_automaton}
 
 
+def test_a_verdict_derives_and_explains_only_when_read():
+    # a fresh handle: the session's handles have automata other tests filled
+    h = SequenceHandle.from_text("0,2,2")
+    backward, forward = h.reverse_automaton
+    d = greedy_decompose(h, 164)
+    verdict = is_legal(d, h)
+    assert verdict.legal and verdict.reason is None
+    assert not any(memo for state in states_read(backward) for memo in state.memo)
+    blocks = verdict.blocks
+    assert any(memo for state in states_read(backward) for memo in state.memo)
+    word = d.dense(verdict.alignment)
+    assert blocks == word_derivation(word, h) == reference_derivation(word, h.spec)
+    assert verdict.blocks is blocks
+    verdict = is_legal(parse_decomposition("8:3,7:1"), h)
+    assert not verdict.legal and verdict.blocks is None
+    assert not forward
+    reason = verdict.reason
+    assert forward and reason.endswith("the automaton dies at position 3 on digit 3")
+    assert verdict.reason is reason
+
+
 def test_automata_hold_only_the_digits_words_read():
     # a coefficient of 10^5 costs no row of 10^5 digits: both automata hold
     # only the digits the judged words contain, whatever the coefficients
@@ -458,12 +487,13 @@ def test_automata_hold_only_the_digits_words_read():
         h = SequenceHandle.from_text("0,100000,100000")
         judged = [parse_decomposition("2:1,1:1"), greedy_decompose(h, 10**40 + 7)]
         verdicts = [is_legal(d, h) for d in judged]
+        explained = [v.blocks or v.reason for v in verdicts]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, peak
     assert [v.legal for v in verdicts] == [False, True]
-    assert verdicts[0].reason.endswith("dies at position 2 on digit 1")
+    assert explained[0].endswith("dies at position 2 on digit 1") and explained[1]
     digits = {d for dec, v in zip(judged, verdicts) for d in dec.dense(v.alignment)}
     # a digit outside 0..max(c, 1) reads None and is never stored
     assert not word_is_legal([100001], h) and reject_at([-1], h) == 1

@@ -7,6 +7,7 @@ from zecklab import (
     CounterexampleReport,
     Decomposition,
     ExperimentRecord,
+    LegalityVerdict,
     SequenceHandle,
     case1_slack_closed_form,
     construct_counterexample,
@@ -176,6 +177,21 @@ def test_expand_grid_counts_its_points_before_listing_them(depths, spans, c_max,
         expand_grid(depths, spans, c_max, limit=points - 1)
 
 
+@pytest.mark.parametrize("spans", [
+    range(1, 2), range(1, 7), range(2, 7), range(4, 9), range(3, 3), [1, 3, 5], [2, 2, 6]])
+@pytest.mark.parametrize("c_max", [0, 1, 2, 5])
+def test_expand_grid_counts_a_span_range_in_closed_form(spans, c_max):
+    # a range of spans is counted by a geometric sum: it equals the sum per span
+    per_span = sum(c_max if span == 1 else c_max**2 * (c_max + 1) ** (span - 2)
+                   for span in spans)
+    points = 3 * per_span
+    with pytest.raises(BudgetExceededError, match=f"grid of {points} points exceeds limit"):
+        expand_grid(range(3), spans, c_max, limit=points - 1)
+    if points <= 2000:
+        texts, skipped = expand_grid(range(3), spans, c_max, limit=points)
+        assert len(texts) + len(skipped) == points
+
+
 @pytest.mark.parametrize("depths, spans", [(range(-1, 0), [2]), ([1], range(0, 3))])
 def test_expand_grid_rejects_negative_depths_and_empty_spans(depths, spans):
     with pytest.raises(ValueError):
@@ -285,7 +301,8 @@ def test_construction_refuses_sums_that_miss_n(monkeypatch, handles):
 
 def test_construction_refuses_a_rejected_primary(monkeypatch, handles):
     real = uniqueness.is_legal
-    monkeypatch.setattr(uniqueness, "is_legal", lambda d, h: real(d, h)._replace(legal=False))
+    monkeypatch.setattr(uniqueness, "is_legal", lambda d, h: LegalityVerdict(
+        legal=False, alignment=real(d, h).alignment))
     with pytest.raises(ConstructionFailedError, match="primary decomposition or window") as exc:
         construct_counterexample(handles("0,2,2"))
     assert exc.value.diagnostics["decompA_legal"] is False
