@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .errors import NonProgressError
 from .legality import Decomposition, is_legal
 from .sequence import SequenceHandle
 
@@ -39,8 +38,8 @@ def greedy_decompose(
 ) -> Decomposition | tuple[Decomposition, list[BlockStep]]:
     """Decompose ``n_value`` greedily; returns (result, steps) when asked.
 
-    Only the constant family ``1`` is known to raise: NonProgressError, from
-    ``handle.tables``.
+    Only the constant family ``1`` raises NonProgressError, from
+    ``handle.tables``: no block takes every cap and leaves a remainder.
     """
     if n_value < 0:
         raise ValueError("target must be >= 0")
@@ -95,13 +94,7 @@ def greedy_decompose(
             if copies < cap:
                 prev_stop = j
                 break
-        else:
-            # every position took its full cap: only possible when the walk
-            # ran out of indices below the anchor, with nothing left over
-            if remainder != 0:
-                raise NonProgressError(
-                    f"block at anchor {anchor} consumed all positions but left {remainder}"
-                )
+        # a block that takes every cap leaves nothing (README proves it)
         if steps is not None:
             steps.append(BlockStep(kind="block", anchor=anchor,
                                    takes=tuple(takes), remainder=remainder))

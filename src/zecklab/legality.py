@@ -144,7 +144,7 @@ def parse_decomposition(text: str) -> Decomposition:
 
 def canonicalize(vector: list[int] | tuple[int, ...], alignment: int) -> Decomposition:
     """Sparse form of a dense word at the given alignment; strips zeros."""
-    mapping: dict[int, int] = {}
+    summands = []  # indices fall as positions rise, so already in canonical order
     for pos, entry in enumerate(vector, 1):
         if entry < 0:
             raise ValueError("vector entries must be >= 0")
@@ -154,8 +154,8 @@ def canonicalize(vector: list[int] | tuple[int, ...], alignment: int) -> Decompo
                 raise AlignmentTooSmallError(
                     f"nonzero entry at position {pos} exceeds alignment {alignment}"
                 )
-            mapping[idx] = entry
-    return Decomposition.from_dict(mapping)
+            summands.append((idx, entry))
+    return Decomposition(tuple(summands))
 
 
 def evaluate(d: Decomposition, handle: SequenceHandle) -> int:

@@ -10,14 +10,15 @@ decompositions and reports exactly what holds.
 
 ``CounterexampleReport`` and ``UniquenessReport`` are NamedTuples, with tuple
 semantics: indexing, unpacking, equality with an equal plain tuple.
-``ExperimentRecord`` is a small mutable class instead, so a caller can amend
-a row in place.
+``ExperimentRecord`` is a ``types.SimpleNamespace`` instead, so a caller can
+amend a row in place; no record uses ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import product
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import (
@@ -188,38 +189,30 @@ CSV_HEADER = (
 )
 
 
-class ExperimentRecord:
-    """One row of a sweep: everything measured for a single family.  Mutable;
-    rows compare field by field."""
+class ExperimentRecord(SimpleNamespace):
+    """One row of a sweep: everything measured for a single family.  A
+    ``types.SimpleNamespace``, so it is mutable and unhashable, and rows
+    compare field by field."""
 
     __match_args__ = ("recurrence", "s", "L", "bound", "first_nonunique_n", "count_at_n",
                       "slack", "counterexample_n", "status", "elapsed_ms", "note")
-    __hash__ = None  # mutable, so unhashable
 
     def __init__(self, recurrence: str, s: int, L: int, bound: int,
                  first_nonunique_n: int | None = None, count_at_n: int | None = None,
                  slack: int | None = None, counterexample_n: int | None = None,
                  status: str = "ok", elapsed_ms: int = 0, note: str = ""):
-        self.recurrence, self.s, self.L, self.bound = recurrence, s, L, bound
-        self.first_nonunique_n, self.count_at_n = first_nonunique_n, count_at_n
-        self.slack, self.counterexample_n = slack, counterexample_n
-        self.status, self.elapsed_ms, self.note = status, elapsed_ms, note
+        super().__init__(recurrence=recurrence, s=s, L=L, bound=bound,
+                         first_nonunique_n=first_nonunique_n, count_at_n=count_at_n,
+                         slack=slack, counterexample_n=counterexample_n,
+                         status=status, elapsed_ms=elapsed_ms, note=note)
 
-    def _cells(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._cells() == other._cells()
-
-    def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+    def __reduce__(self):  # the namespace's own would call __init__() with no arguments
+        return self.__class__, (self.recurrence, self.s, self.L, self.bound), self.__dict__
 
     def csv_cells(self) -> list[str]:
         """Every field but the trailing ``note``, in ``CSV_HEADER``'s order."""
-        return ["" if v is None else str(v) for v in self._cells()[:-1]]
+        return ["" if (v := getattr(self, name)) is None else str(v)
+                for name in self.__match_args__[:-1]]
 
 
 def expand_grid(

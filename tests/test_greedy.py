@@ -84,6 +84,34 @@ def test_remainders_re_anchor_below_the_stop_index(handles):
     assert list(enumerate_legal(h, 64)) == [greedy_decompose(h, 64)]
 
 
+def test_a_block_that_takes_every_cap_leaves_nothing(handles):
+    # README's proof that greedy needs no branch for a block that takes every
+    # cap yet leaves a remainder: the block's caps sum to G_{a+1} (anchor
+    # a >= L) or G_{a+1} - 1 (a < L, depth 0 or lead > depth), G_{a+1}
+    # exceeds what it is given, and every other low anchor only ever sees a
+    # term value, which goes as a bare summand
+    for text in GRID + [DIP]:
+        h = handles(text)
+        c, s, L = h.spec.coefficients, h.spec.depth, h.spec.order
+        for n in range(1, 61):
+            _, steps = greedy_decompose(h, n, trace=True)
+            given = n
+            for step in steps:
+                if step.kind == "block":
+                    a = step.anchor
+                    assert h.term(a + 1) > given, (text, n, a)
+                    caps = sum(c[i - 1] * h.term(a + 1 - i) for i in range(s + 1, min(a, L) + 1))
+                    if a >= L:
+                        assert caps == h.term(a + 1), (text, n, a)
+                    else:
+                        assert s < a and (s == 0 or c[s] > s), (text, n, a)
+                        assert caps == h.term(a + 1) - 1, (text, n, a)
+                given = step.remainder
+    # 0,1,1's prefix 1, 2, 4, 3: a block at anchor 2 would take G_1 once and
+    # leave 1 of 2, but 1 and 2 are term values and go bare
+    assert [str(greedy_decompose(handles("0,1,1"), n)) for n in (1, 2)] == ["1:1", "2:1"]
+
+
 def test_determinism(handles):
     h = handles("0,2,1,2")
     assert greedy_decompose(h, 4321) == greedy_decompose(h, 4321)

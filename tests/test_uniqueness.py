@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -235,6 +237,23 @@ def test_experiment_record_keeps_the_dataclass_behaviour():
         "first_nonunique_N": "2", "count_at_N": "3", "lemma22": "-8",
         "counterexample_N": "27", "status": "inconsistent", "elapsed_ms": "5"}
     assert rec.csv_cells() == ["0,2,2", "1", "3", "100", "", "2", "", "", "ok", "0"]
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))])
+def test_experiment_record_copies_pickles_and_amends(clone):
+    full = ExperimentRecord("0,2,2", 1, 3, 100, 2, 2, -8, 27, "inconsistent", 5, "a note")
+    twin = clone(full)
+    assert twin == full and twin is not full and type(twin) is ExperimentRecord
+    twin.count_at_n = 3  # the bench plants a wrong count this way
+    assert twin.count_at_n == 3 and twin != full
+    twin.count_at_n = full.count_at_n
+    assert twin == full
+    # an extra attribute is kept by a copy, but never reaches the CSV row
+    twin.extra = "not a column"
+    assert clone(twin).extra == "not a column"
+    assert twin.csv_cells() == full.csv_cells() == [
+        "0,2,2", "1", "3", "100", "2", "2", "-8", "27", "inconsistent", "5"]
 
 
 def test_probe_never_aborts_on_errors():
