@@ -33,10 +33,10 @@ The tests pin all four to a recursive recognizer that transcribes the
 rules, and ``reject_at``'s positions to a plain forward walk.
 
 Each ``SequenceHandle`` makes the start states on first use and holds them.
-Reads fill the automata and the derivation walk's memos; callers never
-write them, and a handle and its automata belong to one thread.  So does a
-``LegalityVerdict``, which reads its handle's automata when its ``blocks`` or
-``reason`` is first read.
+Reads fill the automata with states and the digits read in each; callers
+never write them, and a handle and its automata belong to one thread.  So
+does a ``LegalityVerdict``, which reads its handle's automata when its
+``blocks`` or ``reason`` is first read.
 """
 
 from __future__ import annotations
@@ -85,19 +85,18 @@ class SubsetState(dict):
     """A set of NFA states, ``subset``, as a dict from each digit read in it
     to the next state (None: no NFA state survives).  A first read takes one
     subset step; an entry equal to no digit 0..max(c, 1) reads None and is
-    never stored.  A backward state's ``memo[q]`` maps a digit to the
-    derivation walk's move from q when the rest of the word leads to it."""
+    never stored.  A state holds nothing else: the derivation walk computes
+    its moves from ``subset`` on each read."""
 
-    __slots__ = ("subset", "memo", "_automaton")
+    __slots__ = ("subset", "_automaton")
     # as a dict a state is falsy until read and equals any state with the
     # same reads: compare and hash by identity, and test reads against None
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, subset: frozenset[int], automaton: tuple):
         super().__init__()
-        spec, backward, seen = automaton  # seen: subset -> its state, one per direction
+        seen = automaton[2]  # subset -> its state, one per direction
         self.subset, self._automaton = subset, automaton
-        self.memo = [{} for _ in range(_UNIT + spec.order)] if backward else None
         seen[subset] = self
 
     def __missing__(self, d: int) -> SubsetState | None:
@@ -184,13 +183,9 @@ def word_derivation(word, handle: SequenceHandle) -> tuple[DerivationBlock, ...]
     steps = []  # (condition, start, t, coefficient), gaps filled in below
     q = tail = _START  # tail: 0-based position where the current suffix opened
     for j, d in enumerate(word):
-        rest = suffix[j + 1]
-        memo = rest.memo[q]
-        if (to := memo.get(d)) is None:
-            nxt = _nfa_moves(spec, q, d) & rest.subset
-            # extend the gap while a legal tail follows, else the one live move
-            (to,) = {_GAP} if q == _GAP and d == 0 and _GAP in nxt else nxt
-            memo[d] = to
+        nxt = _nfa_moves(spec, q, d) & suffix[j + 1].subset
+        # extend the gap while a legal tail follows, else the one live move
+        (to,) = {_GAP} if q == _GAP and d == 0 and _GAP in nxt else nxt
         if d == 0 and to == q == _GAP:
             continue
         if q <= _GAP:  # START or GAP: the next suffix opens at j

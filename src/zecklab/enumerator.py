@@ -13,7 +13,7 @@ They must agree wherever the oracle is allowed to run; tests enforce that.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 
 from .automaton import count_accepted
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
@@ -64,6 +64,13 @@ def _heads(handle: SequenceHandle, m: int, cap: int):
             yield (prefix + ((m + 1 - t, a),) if a else prefix), used, m - t
 
 
+def _value_bounds(handle: SequenceHandle, terms: list[int]) -> list[int]:
+    """bounds[k] = max(c, 1) * (G_1 + ... + G_k) for k = 0..len(terms), from
+    ``terms`` = G_1, G_2, ...: no legal length-k word is worth more."""
+    cap = handle.spec.max_digit
+    return [cap * total for total in accumulate(terms, initial=0)]
+
+
 def enumerate_legal(
     handle: SequenceHandle, n_value: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> set[Decomposition]:
@@ -80,6 +87,8 @@ def enumerate_legal(
     if len(memo) > _STATE_LIMIT:
         memo.clear()
     ceiling = len(memo) + _STATE_LIMIT
+    top = handle.top_index(n_value)
+    bounds = _value_bounds(handle, handle.terms(top))
 
     def words(m: int, value: int) -> frozenset:
         """All legal words of length m whose value is exactly ``value``."""
@@ -97,14 +106,14 @@ def enumerate_legal(
             for head, used, longest in _heads(handle, m, value):
                 rest = value - used
                 for k in range(longest, -1, -1):
-                    if rest > handle.max_word_value(k):
+                    if rest > bounds[k]:
                         break  # shorter tails only get smaller
                     for tail in words(k, rest):
                         out.add(head + tail)
         memo[key] = res = frozenset(out)
         return res
 
-    return {Decomposition(word) for word in words(handle.top_index(n_value), n_value)}
+    return {Decomposition(word) for word in words(top, n_value)}
 
 
 def naive_oracle(
@@ -124,15 +133,13 @@ def naive_oracle(
         return {Decomposition()}
     top = handle.top_index(n_value)
     cap = handle.spec.max_digit
-    terms = [handle.term(i) for i in range(1, top + 1)]
-    max_below = [handle.max_word_value(i) for i in range(top + 1)]
+    terms = handle.terms(top)
+    max_below = _value_bounds(handle, terms)
     out: set[Decomposition] = set()
     word = [0] * top
 
     def descend(idx: int, rest: int) -> None:
-        if rest == 0:
-            for pos in range(top - idx, top):
-                word[pos] = 0
+        if rest == 0:  # each level zeroes its own digit, so those below are 0
             if word_is_legal(word, handle):
                 out.add(canonicalize(word, top))
             return

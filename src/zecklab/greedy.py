@@ -49,7 +49,9 @@ def greedy_decompose(
     positions = [(i, c[i - 1]) for i in range(s + 1, L + 1)]
     # every remainder is <= n_value, so one extension covers every lookup
     terms, floors, index_of_value = handle.tables(n_value)
-    out: dict[int, int] = {}
+    # (index, copies) in order: each next anchor or exact term lies below the
+    # last block's stop index, so the indices fall strictly
+    out: list[tuple[int, int]] = []
     steps: list[BlockStep] | None = [] if trace else None
     remainder = n_value
     prev_stop: int | None = None
@@ -66,8 +68,7 @@ def greedy_decompose(
                     Decomposition(((exact, 1),)), handle).legal:
                 exact = None
         if exact is not None:
-            assert exact not in out
-            out[exact] = 1
+            out.append((exact, 1))
             if steps is not None:
                 steps.append(BlockStep(kind="unit", anchor=exact, remainder=0))
             break
@@ -86,8 +87,7 @@ def greedy_decompose(
             if copies >= cap:
                 copies = cap
             if copies:
-                assert j not in out
-                out[j] = copies
+                out.append((j, copies))
                 remainder -= copies * g
                 if trace:
                     takes.append((j, copies, g))
@@ -98,6 +98,5 @@ def greedy_decompose(
         if steps is not None:
             steps.append(BlockStep(kind="block", anchor=anchor,
                                    takes=tuple(takes), remainder=remainder))
-    # every multiplicity is positive and every index >= 1
-    result = Decomposition(tuple(sorted(out.items(), reverse=True)))
+    result = Decomposition(tuple(out))
     return (result, steps) if trace else result

@@ -5,11 +5,11 @@ come from the initial-condition rules (plus the special 1,2,4,3 prefix for
 the Lagonacci family); later terms follow the recurrence exactly.
 
 The handle holds all per-family state and shares none with other handles:
-the term cache, append-only and grown on read (``term``, ``window`` and
-``top_index`` extend it); ``word_memo``, the words ``enumerate_legal`` has
-generated; and the legality automata, whose start states it makes on first
-use and whose other states, derivation memos included, the walks in
-``automaton`` add as they read.  Nothing else attaches state to a handle.
+the terms, window floors and value->index map, append-only and grown on
+read (``term``, ``window`` and ``top_index`` extend them); ``word_memo``,
+the words ``enumerate_legal`` has generated; and the legality automata,
+whose start states it makes on first use and whose other states the walks
+in ``automaton`` add as they read.  Nothing else attaches state to a handle.
 Reads fill the handle, so it is not thread-safe: use one handle per thread.
 ``tables(bound)`` returns the handle's own term list, window floors and
 value->index map for loops that would call ``term``/``top_index`` per step.
@@ -51,14 +51,9 @@ class SequenceHandle:
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        self._max_digit = spec.max_digit  # read once: max_word_value is on hot loops
         self._terms: list[int] = _prescribed_terms(spec)
         # largest index seen for each value; duplicates resolve upward
         self._index_of_value = {g: i for i, g in enumerate(self._terms, 1)}
-        # cumulative term sums, used for enumeration value bounds
-        self._cumsum = [0]
-        for g in self._terms:
-            self._cumsum.append(self._cumsum[-1] + g)
         # window floors: _floors[m - 1] = min(G_m, G_{m+1}, ...), so the values
         # whose top index is m are exactly _floors[m - 1] <= v < _floors[m].  Each
         # term past the prefix is at least one of the ``order`` terms before it,
@@ -82,11 +77,10 @@ class SequenceHandle:
     def _grow_to(self, length: int, bound: int = -1) -> None:
         """Append terms until the cache holds ``length`` terms and its last
         ``order`` terms all exceed ``bound``; the one place the tables grow."""
-        terms, floors = self._terms, self._floors
-        index_of_value, cumsum = self._index_of_value, self._cumsum
+        terms, floors, index_of_value = self._terms, self._floors, self._index_of_value
         L = self.spec.order
         taps = [(c, -1 - i) for i, c in enumerate(self.spec.coefficients) if c]
-        k, total = len(terms), cumsum[-1]
+        k = len(terms)
         while k < length or floors[-1] <= bound:
             nxt = 0
             for c, back in taps:
@@ -94,8 +88,6 @@ class SequenceHandle:
             terms.append(nxt)
             k += 1
             index_of_value[nxt] = k
-            total += nxt
-            cumsum.append(total)
             floors.append(min(terms[-L:]))
 
     def term(self, n: int) -> int:
@@ -160,15 +152,3 @@ class SequenceHandle:
             return None
         self.extend_until_exceeds(value)
         return self._index_of_value.get(value)
-
-    def term_sum(self, n: int) -> int:
-        """G_1 + ... + G_n."""
-        if n <= 0:
-            return 0
-        self.term(n)
-        return self._cumsum[n]
-
-    def max_word_value(self, m: int) -> int:
-        """Upper bound on the value of any legal length-m coefficient word:
-        every entry is at most ``spec.max_digit``."""
-        return self._max_digit * self.term_sum(m)

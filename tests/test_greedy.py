@@ -172,6 +172,11 @@ def test_greedy_is_total_and_legal_on_the_whole_grid():
         for n in range(51):
             d = greedy_decompose(h, n)
             assert evaluate(d, h) == n and is_legal(d, h).legal, (text, n, str(d))
+            # greedy appends its summands in order: indices fall strictly and
+            # every multiplicity is positive
+            indices = [j for j, _ in d.summands]
+            assert indices == sorted(set(indices), reverse=True), (text, n, str(d))
+            assert all(k >= 1 for _, k in d.summands), (text, n, str(d))
 
 
 @settings(max_examples=300, deadline=None)

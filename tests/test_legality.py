@@ -25,6 +25,7 @@ from zecklab import (
     word_derivation,
     word_is_legal,
 )
+from zecklab import legality
 from zecklab.automaton import _START, _UNIT, _nfa_moves, count_accepted, reject_at
 from zecklab.errors import AlignmentTooSmallError, DecompositionTextError, NonProgressError
 
@@ -336,7 +337,7 @@ def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
 
 
 # large coefficients: digits near 0, 1 and c decide the moves, so each family
-# draws those often, near its own c; a dense digit table would hold states x (c + 1) x backward states moves.
+# draws those often, near its own c; a dense digit table would hold c + 1 moves per state.
 # Random words seldom need the backward state to pick a move, so each example
 # also checks a greedy word, which is legal and long.
 LARGE = ["0,1000,1000", "1000,1", "0,1000000,1000000", "1000000,1"]
@@ -417,26 +418,10 @@ def test_verdicts_derive_first_and_explain_by_the_scan(handles, text, n, selecto
             assert reference_derivation(word, h.spec) is None
 
 
-def test_derivation_memo_holds_only_the_moves_words_visit():
-    # a fresh handle: the session's handles have memos other tests filled
-    h = SequenceHandle.from_text("0,1000,1000")
-    words = [[0, 999, 0, 0, 0, 1000, 7, 0, 1, 0], [0, 1000], [1, 0, 0]]
-    words += [greedy_decompose(h, n).dense(h.top_index(n)) for n in (10**6, 3 * 10**9 + 5)]
-    for word in words:
-        blocks = word_derivation(word, h)
-        assert blocks is not None and blocks == reference_derivation(word, h.spec)
-    digits = [d for state in states_read(h.reverse_automaton[0])
-              for moves in state.memo for d in moves]
-    # one (q, d, r) triple per position of a word at most, each on a digit
-    # some word holds
-    assert 0 < len(digits) <= sum(map(len, words))
-    assert set(digits) <= {d for word in words for d in word}
-
-
 def test_each_handle_owns_its_automata():
     # two handles of one spec share nothing: deriving, explaining or
-    # enumerating on one leaves the other's automata, derivation memos and
-    # word memo empty, and each makes its automata once
+    # enumerating on one leaves the other's automata and word memo empty, and
+    # each makes its automata once
     a, b = SequenceHandle.from_text("0,2,2"), SequenceHandle.from_text("0,2,2")
     assert is_legal(greedy_decompose(a, 164), a).blocks
     backward, forward = a.reverse_automaton
@@ -446,7 +431,7 @@ def test_each_handle_owns_its_automata():
     word = illegal.dense(verdict.alignment)
     assert not verdict.legal and verdict.reason
     assert enumerate_legal(a, 164)
-    assert any(memo for state in states_read(backward) for memo in state.memo)
+    assert len(states_read(backward)) > 1  # the derivation and scans made states
     assert not any(b.reverse_automaton)
     # one forward step per digit the explanation read, each on a digit of the word
     steps = [d for state in states_read(forward) for d in state]
@@ -458,19 +443,26 @@ def test_each_handle_owns_its_automata():
     assert not {*states_read(backward), *states_read(forward)} & {*b.reverse_automaton}
 
 
-def test_a_verdict_derives_and_explains_only_when_read():
+def test_a_verdict_derives_and_explains_only_when_read(monkeypatch):
     # a fresh handle: the session's handles have automata other tests filled
     h = SequenceHandle.from_text("0,2,2")
-    backward, forward = h.reverse_automaton
+    derived = []
+
+    def counting_derivation(word, handle):
+        derived.append(list(word))
+        return word_derivation(word, handle)
+
+    monkeypatch.setattr(legality, "word_derivation", counting_derivation)
+    forward = h.reverse_automaton[1]
     d = greedy_decompose(h, 164)
     verdict = is_legal(d, h)
     assert verdict.legal and verdict.reason is None
-    assert not any(memo for state in states_read(backward) for memo in state.memo)
+    assert not derived  # greedy and the verdict decide by the scan alone
     blocks = verdict.blocks
-    assert any(memo for state in states_read(backward) for memo in state.memo)
     word = d.dense(verdict.alignment)
+    assert derived == [word]
     assert blocks == word_derivation(word, h) == reference_derivation(word, h.spec)
-    assert verdict.blocks is blocks
+    assert verdict.blocks is blocks and derived == [word]  # derived once
     verdict = is_legal(parse_decomposition("8:3,7:1"), h)
     assert not verdict.legal and verdict.blocks is None
     assert not forward
@@ -502,7 +494,6 @@ def test_automata_hold_only_the_digits_words_read():
         assert len({state.subset for state in states}) == len(states)  # one state per subset
         for state in states:
             assert set(state) <= digits
-            assert all(set(moves) <= digits for moves in state.memo or ())
 
 
 def test_count_accepted_matches_the_recognizer(handles):

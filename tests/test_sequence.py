@@ -3,6 +3,7 @@ from itertools import accumulate
 import pytest
 
 from zecklab import SequenceHandle, expand_grid, parse_recurrence
+from zecklab.enumerator import _value_bounds
 from zecklab.errors import NonProgressError
 
 
@@ -169,5 +170,7 @@ def test_batched_growth_matches_a_term_by_term_reference():
             assert list(floors) == tail_minima[:len(floors)]
             assert len(floors) == n - spec.order + 1
             assert index_of_value == {g: i for i, g in enumerate(ref, 1)}
-            assert [h.term_sum(k) for k in range(n + 1)] == list(accumulate(ref, initial=0))
+            # enumeration's pruning bounds, built per call from the handle's terms
+            assert _value_bounds(h, h.terms(n)) == [
+                spec.max_digit * total for total in accumulate(ref, initial=0)]
             assert h.has_duplicate_values == (len(set(ref)) < n)
