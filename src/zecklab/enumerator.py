@@ -13,7 +13,7 @@ They must agree wherever the oracle is allowed to run; tests enforce that.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .automaton import count_accepted
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
@@ -156,25 +156,25 @@ def naive_oracle(
 
 
 def _windows(handle: SequenceHandle, bound: int):
-    """Yield, for m = 1, 2, ..., a lazy view of the legal length-m sparse
-    words (word, value) with value <= bound in window m.  Words are
-    built per length with a running value cap; counting a word only at its
-    value's window alignment keeps each decomposition exactly once.
+    """Yield, for m = 1, 2, ..., a dict from each legal sparse word with
+    value <= bound in window m to its value.  Words are built per length with
+    a running value cap; listing a word only at its value's window alignment
+    keeps each decomposition exactly once.
 
     Deep families have an empty head, the zero block (s leading zeros, then
     a = 0 at t = s + 1), which makes every legal word of length k <= m - lag
     legal again at length m, lag = s + 1.  Those copies are not built: a word
     above its own length's window is filed once under its value's window j,
     if its length is at most j - lag, and window j lists it.  A length-m word
-    is stored only if window m lists it, it is filed (worth >= far, the floor
-    of window m + lag) or it can still be a tail (worth <= bound - hi): a
-    non-empty head sits above its tail and holds a positive entry, so >= hi.
+    is built once, into window m's dict, the tails if it is worth <= bound -
+    hi (a non-empty head sits above its tail and holds a positive entry, so
+    >= hi) and the filing if it is worth >= far, the floor of window m + lag.
     """
     if bound < 1:
         return
     top = handle.top_index(bound)
     lag = None if handle.spec.kind is Kind.PLRR else handle.spec.depth + 1
-    # by_len[k]: the stored length-k words a non-empty head derives, mapped to value
+    # by_len[k]: the length-k words a non-empty head derives that can still be a tail
     by_len: list[dict[tuple[tuple[int, int], ...], int]] = [{(): 0}]
     # above[j]: words filed for window j by the empty head, mapped to value
     above: dict[int, dict[tuple[tuple[int, int], ...], int]] = {}
@@ -183,29 +183,29 @@ def _windows(handle: SequenceHandle, bound: int):
         # the floors never decrease, so far <= v is m + lag <= top_index(v)
         far = handle.window(m + lag)[0] if lag and m + lag <= top else bound + 1
         cut = bound - hi  # a longer word adds a head worth >= hi to this one
-        out: dict[tuple[tuple[int, int], ...], int] = {}
+        window: dict[tuple[tuple[int, int], ...], int] = {}
+        by_len.append(tails := {})  # read by longer words only
         for head, used, longest in _heads(handle, m, bound):
             if not head:
                 continue  # the zero block: its words are filed below
-            room = bound - used
             for k in range(longest + 1):
                 for tail, tv in by_len[k].items():
-                    if tv <= room and (lo <= (v := used + tv) < hi
-                                       or v <= cut or v >= far):
-                        out[head + tail] = v
-        by_len.append(out)
-        view = ((word, val) for word, val in out.items() if lo <= val < hi)
-        if filed := above.pop(m, None):
-            # every non-empty head here holds an index above m - lag, and a
-            # filed word of length <= m - lag none, so none is listed twice
-            view = chain(view, filed.items())
-        yield view
-        # filed once the window is read: no window before m + lag needs these,
-        # and a caller that stops here skips the work
-        if lag is not None:
-            for word, val in out.items():
-                if val >= far:
-                    above.setdefault(handle.top_index(val), {})[word] = val
+                    if (v := used + tv) > bound:
+                        continue
+                    if lo <= v < hi:  # listed here, so below far
+                        window[word := head + tail] = v
+                    elif cut < v < far:
+                        continue  # read by no table
+                    else:
+                        word = head + tail
+                        if v >= far:
+                            above.setdefault(handle.top_index(v), {})[word] = v
+                    if v <= cut:
+                        tails[word] = v
+        # every non-empty head here holds an index above m - lag, and a
+        # filed word of length <= m - lag none, so none is listed twice
+        window.update(above.pop(m, ()))
+        yield window
 
 
 def decompositions_up_to(
@@ -215,8 +215,8 @@ def decompositions_up_to(
     if bound > budget:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     buckets: dict[int, list[Decomposition]] = {}
-    for words in _windows(handle, bound):
-        for word, val in words:
+    for window in _windows(handle, bound):
+        for word, val in window.items():
             buckets.setdefault(val, []).append(Decomposition(word))
     return buckets
 
@@ -231,11 +231,9 @@ def first_nonunique(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    for words in _windows(handle, min(bound, budget)):
-        counts = Counter(val for _, val in words)
-        hit = min((val for val, k in counts.items() if k >= 2), default=None)
-        if hit is not None:
-            return hit, counts[hit]
+    for window in _windows(handle, min(bound, budget)):
+        if len(set(window.values())) < len(window):
+            return min((val, k) for val, k in Counter(window.values()).items() if k >= 2)
     if bound > budget:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     return None

@@ -160,7 +160,8 @@ def canonicalize(vector: list[int] | tuple[int, ...], alignment: int) -> Decompo
 
 def evaluate(d: Decomposition, handle: SequenceHandle) -> int:
     """Value of the decomposition: sum of multiplicity * term."""
-    terms = handle.terms(d.max_index)
+    handle.term(max(d.max_index, 1))  # grows the handle's own list, read in place
+    terms = handle.tables(0)[0]
     total = 0
     for idx, mult in d.summands:
         total += mult * terms[idx - 1]

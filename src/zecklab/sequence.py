@@ -99,6 +99,8 @@ class SequenceHandle:
         return self._terms[n - 1]
 
     def terms(self, count: int) -> list[int]:
+        if count < 0:
+            raise ValueError("count must be >= 0")
         self.term(max(count, 1))
         return self._terms[:count]
 

@@ -176,8 +176,7 @@ def verify_uniqueness_range(
     hit = first_nonunique(handle, bound, budget)
     if hit is None:
         return UniquenessReport(handle.spec.text, bound, all_unique=True)
-    value, count = hit
-    witnesses = tuple(sorted(enumerate_legal(handle, value, budget), key=str))
+    witnesses = tuple(sorted(enumerate_legal(handle, hit[0], budget), key=str))
     return UniquenessReport(
         handle.spec.text, bound, all_unique=False, violation=hit, witnesses=witnesses
     )

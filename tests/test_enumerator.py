@@ -274,3 +274,16 @@ def test_every_value_has_a_legal_decomposition_on_the_grid():
         if i % 97 == 0:  # the oracle walks the automaton, not the head expander
             for v in range(1, 41):
                 assert len(buckets[v]) == len(naive_oracle(h, v)), (text, v)
+
+
+def test_both_window_consumers_agree_on_the_grid():
+    # decompositions_up_to lists every window's words and first_nonunique
+    # stops at the first window holding a value twice: the first hit is the
+    # smallest value whose bucket holds two or more decompositions
+    texts = [t for t in expand_grid(range(0, 4), range(1, 5), 4)[0] if t != "1"]
+    assert len(texts) == 1939
+    for text in texts:
+        buckets = decompositions_up_to(SequenceHandle.from_text(text), 300)
+        shared = min((v for v, found in buckets.items() if len(found) >= 2), default=None)
+        want = None if shared is None else (shared, len(buckets[shared]))
+        assert first_nonunique(SequenceHandle.from_text(text), 300) == want, text
