@@ -156,56 +156,64 @@ def naive_oracle(
 
 
 def _windows(handle: SequenceHandle, bound: int):
-    """Yield, for m = 1, 2, ..., a dict from each legal sparse word with
-    value <= bound in window m to its value.  Words are built per length with
-    a running value cap; listing a word only at its value's window alignment
-    keeps each decomposition exactly once.
+    """Yield, for m = 1, 2, ..., two parallel lists: the legal sparse words
+    with value <= bound whose window alignment is m, and their values.
 
-    Deep families have an empty head, the zero block (s leading zeros, then
-    a = 0 at t = s + 1), which makes every legal word of length k <= m - lag
-    legal again at length m, lag = s + 1.  Those copies are not built: a word
-    above its own length's window is filed once under its value's window j,
-    if its length is at most j - lag, and window j lists it.  A length-m word
-    is built once, into window m's dict, the tails if it is worth <= bound -
-    hi (a non-empty head sits above its tail and holds a positive entry, so
-    >= hi) and the filing if it is worth >= far, the floor of window m + lag.
+    Each word is built once, at its own length m, into window m's lists if
+    its value lies there, the tails if a longer word (adding a head worth
+    >= hi) can hold it, and on deep families the filing of its value's window
+    j >= m + lag, lag = s + 1, where the zero block makes it legal again.
+    No list holds a word twice, so none is hashed: a non-empty length-k head
+    has its top entry at k (the bare summand, every depth-0 head) or at k - s,
+    and heads of one length differ at an index above both tails, so two
+    lengths share only the twin ((k - s, 1),), the bare summand at k - s and
+    a head with the empty tail at k, where it is only listed.  A head reading
+    length-k tails reads length k - s, whose cut is no smaller, and a value k
+    would file (top index >= k + lag) k - s files, as far grows with m.  A word
+    filed for window j has top index <= j - lag, below every word j builds.
     """
     if bound < 1:
         return
     top = handle.top_index(bound)
+    floors = handle.tables(bound)[1]  # window m is floors[m - 1] <= v < floors[m]
     lag = None if handle.spec.kind is Kind.PLRR else handle.spec.depth + 1
-    # by_len[k]: the length-k words a non-empty head derives that can still be a tail
-    by_len: list[dict[tuple[tuple[int, int], ...], int]] = [{(): 0}]
-    # above[j]: words filed for window j by the empty head, mapped to value
-    above: dict[int, dict[tuple[tuple[int, int], ...], int]] = {}
+    # tail_words[k], tail_values[k]: the length-k words a longer word can still hold
+    tail_words, tail_values = [[()]], [[0]]
+    above: dict[int, tuple[list, list]] = {}  # window j: (words, values) filed for it
     for m in range(1, top + 1):
-        lo, hi = handle.window(m)
+        lo, hi = floors[m - 1], floors[m]
         # the floors never decrease, so far <= v is m + lag <= top_index(v)
-        far = handle.window(m + lag)[0] if lag and m + lag <= top else bound + 1
+        far = floors[m + lag - 1] if lag and m + lag <= top else bound + 1
         cut = bound - hi  # a longer word adds a head worth >= hi to this one
-        window: dict[tuple[tuple[int, int], ...], int] = {}
-        by_len.append(tails := {})  # read by longer words only
+        twin = ((m + 1 - lag, 1),) if lag else ()  # () equals no non-empty head
+        words, values = above.pop(m, None) or ([], [])
+        tail_words.append(tails := [])
+        tail_values.append(tail_vals := [])
         for head, used, longest in _heads(handle, m, bound):
             if not head:
-                continue  # the zero block: its words are filed below
-            for k in range(longest + 1):
-                for tail, tv in by_len[k].items():
+                continue  # the zero block: its words are filed
+            if (is_twin := head == twin) and lo <= used < hi:  # the twin is only listed
+                words.append(head)
+                values.append(used)
+            for k in range(is_twin, longest + 1):
+                for tail, tv in zip(tail_words[k], tail_values[k]):
                     if (v := used + tv) > bound:
                         continue
                     if lo <= v < hi:  # listed here, so below far
-                        window[word := head + tail] = v
+                        words.append(word := head + tail)
+                        values.append(v)
                     elif cut < v < far:
                         continue  # read by no table
                     else:
                         word = head + tail
                         if v >= far:
-                            above.setdefault(handle.top_index(v), {})[word] = v
+                            filed = above.setdefault(handle.top_index(v), ([], []))
+                            filed[0].append(word)
+                            filed[1].append(v)
                     if v <= cut:
-                        tails[word] = v
-        # every non-empty head here holds an index above m - lag, and a
-        # filed word of length <= m - lag none, so none is listed twice
-        window.update(above.pop(m, ()))
-        yield window
+                        tails.append(word)
+                        tail_vals.append(v)
+        yield words, values
 
 
 def decompositions_up_to(
@@ -215,9 +223,12 @@ def decompositions_up_to(
     if bound > budget:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     buckets: dict[int, list[Decomposition]] = {}
-    for window in _windows(handle, bound):
-        for word, val in window.items():
-            buckets.setdefault(val, []).append(Decomposition(word))
+    for words, values in _windows(handle, bound):
+        for val, decomp in zip(values, map(Decomposition, words)):
+            if (found := buckets.get(val)) is None:
+                buckets[val] = [decomp]
+            else:
+                found.append(decomp)
     return buckets
 
 
@@ -226,14 +237,14 @@ def first_nonunique(
 ) -> tuple[int, int] | None:
     """(N, count) for the smallest 1 <= N <= bound with two or more legal
     decompositions, or None.  One sweep searches 1..min(bound, budget) and
-    returns at the first window holding a hit; smaller values lie in earlier
-    windows.  Raises BudgetExceededError only on no hit with bound > budget.
+    returns at the first window whose values repeat; smaller values lie in
+    earlier windows.  Raises BudgetExceededError only on no hit with bound > budget.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    for window in _windows(handle, min(bound, budget)):
-        if len(set(window.values())) < len(window):
-            return min((val, k) for val, k in Counter(window.values()).items() if k >= 2)
+    for _, values in _windows(handle, min(bound, budget)):
+        if len(set(values)) < len(values):
+            return min((val, k) for val, k in Counter(values).items() if k >= 2)
     if bound > budget:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     return None

@@ -1,6 +1,8 @@
 import contextlib
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zecklab import (
     Decomposition,
@@ -126,6 +128,58 @@ def test_first_nonunique_matches_point_enumeration_on_the_grid():
                 expected = (n, count)
                 break
         assert first_nonunique(SequenceHandle.from_text(text), 500) == expected, text
+
+
+def test_heads_sit_at_their_length_or_depth_below_it_on_the_grid():
+    # the range sweep keeps each word once on this lemma: a non-empty length-m
+    # head has its top entry at m or m - depth, only the bare summand sits at m
+    # in a deep family, and every depth-0 head sits at m.  So a length-k word
+    # has top index k or k - depth, and the one word two lengths share is the
+    # twin ((k - depth, 1),).  The heads of one length are distinct and sit
+    # above their tails, so one length never derives a word twice
+    texts = [t for t in expand_grid(range(0, 4), range(1, 5), 4)[0] if t != "1"]
+    assert len(texts) == 1939
+    for text in texts:
+        h = SequenceHandle.from_text(text)
+        s = h.spec.depth
+        cap = h.spec.max_digit * sum(h.terms(40))  # no head is worth more
+        for m in range(1, 41):
+            heads = [(head, longest) for head, _, longest in enumerator._heads(h, m, cap)
+                     if head]
+            assert heads and len({head for head, _ in heads}) == len(heads), (text, m)
+            for head, longest in heads:
+                top = head[0][0]
+                if s == 0:
+                    assert top == m, (text, m, head)
+                elif top == m:
+                    assert head == ((m, 1),), (text, m, head)
+                else:
+                    assert top == m - s, (text, m, head)
+                assert longest < head[-1][0], (text, m, head)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 5), st.integers(1, 5), st.data(), st.integers(1, 400))
+def test_sweep_matches_point_enumeration_off_the_grid(depth, span, data, bound):
+    # deeper, longer and larger families than the grid: every bucket equals
+    # enumerate_legal's set with as many words, and the first non-unique value
+    # is the smallest one whose bucket holds two or more
+    ends = data.draw(st.lists(st.integers(1, 9), min_size=min(span, 2), max_size=min(span, 2)))
+    inner = data.draw(st.lists(st.integers(0, 9), min_size=span - len(ends),
+                               max_size=span - len(ends)))
+    coefficients = [0] * depth + ends[:1] + inner + ends[1:]
+    assume(math.gcd(*(i for i, c in enumerate(coefficients, 1) if c)) == 1)
+    assume(coefficients != [1])  # the constant family has no top index above 1
+    text = ",".join(map(str, coefficients))
+    h = SequenceHandle.from_text(text)
+    buckets = decompositions_up_to(h, bound)
+    assert set(buckets) <= set(range(1, bound + 1)), text
+    for n in range(1, bound + 1):
+        got, want = buckets.get(n, []), enumerate_legal(h, n)
+        assert len(got) == len(want) and set(got) == want, (text, n)
+    shared = min((n for n, found in buckets.items() if len(found) >= 2), default=None)
+    want = None if shared is None else (shared, len(buckets[shared]))
+    assert first_nonunique(SequenceHandle.from_text(text), bound) == want, text
 
 
 def test_plrs_counts_are_all_one(handles):
