@@ -219,7 +219,7 @@ def _windows(handle: SequenceHandle, bound: int):
 def decompositions_up_to(
     handle: SequenceHandle, bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> dict[int, list[Decomposition]]:
-    """All legal decompositions for every value 1..bound, in one grammar sweep."""
+    """All legal decompositions for every value 1..bound, from one sweep that lists each once."""
     if bound > budget:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     buckets: dict[int, list[Decomposition]] = {}
