@@ -155,9 +155,10 @@ def naive_oracle(
     return out
 
 
-def _windows(handle: SequenceHandle, bound: int):
+def _windows(handle: SequenceHandle, bound: int, build: bool = True):
     """Yield, for m = 1, 2, ..., two parallel lists: the legal sparse words
-    with value <= bound whose window alignment is m, and their values.
+    with value <= bound whose window alignment is m, and their values.  With
+    ``build`` false no word is built, and the words lists stay empty.
 
     Each word is built once, at its own length m, into window m's lists if
     its value lies there, the tails if a longer word (adding a head worth
@@ -171,6 +172,9 @@ def _windows(handle: SequenceHandle, bound: int):
     length-k tails reads length k - s, whose cut is no smaller, and a value k
     would file (top index >= k + lag) k - s files, as far grows with m.  A word
     filed for window j has top index <= j - lag, below every word j builds.
+    Both modes pair the same heads and tails under one twin guard, cut,
+    filing floor and window floors, so this covers both: a value's count in
+    its window is its number of legal decompositions.
     """
     if bound < 1:
         return
@@ -193,9 +197,21 @@ def _windows(handle: SequenceHandle, bound: int):
             if not head:
                 continue  # the zero block: its words are filed
             if (is_twin := head == twin) and lo <= used < hi:  # the twin is only listed
-                words.append(head)
+                if build:
+                    words.append(head)
                 values.append(used)
             for k in range(is_twin, longest + 1):
+                if not build:
+                    for tv in tail_values[k]:
+                        if (v := used + tv) > bound:
+                            continue
+                        if lo <= v < hi:
+                            values.append(v)
+                        elif v >= far:
+                            above.setdefault(handle.top_index(v), ([], []))[1].append(v)
+                        if v <= cut:
+                            tail_vals.append(v)
+                    continue
                 for tail, tv in zip(tail_words[k], tail_values[k]):
                     if (v := used + tv) > bound:
                         continue
@@ -236,13 +252,14 @@ def first_nonunique(
     handle: SequenceHandle, bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> tuple[int, int] | None:
     """(N, count) for the smallest 1 <= N <= bound with two or more legal
-    decompositions, or None.  One sweep searches 1..min(bound, budget) and
-    returns at the first window whose values repeat; smaller values lie in
+    decompositions, or None.  One values-only sweep searches 1..min(bound,
+    budget) and returns at the first window whose values repeat, where a
+    value's count is its number of decompositions; smaller values lie in
     earlier windows.  Raises BudgetExceededError only on no hit with bound > budget.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    for _, values in _windows(handle, min(bound, budget)):
+    for _, values in _windows(handle, min(bound, budget), build=False):
         if len(set(values)) < len(values):
             return min((val, k) for val, k in Counter(values).items() if k >= 2)
     if bound > budget:

@@ -6,10 +6,10 @@ the Lagonacci family); later terms follow the recurrence exactly.
 
 The handle holds all per-family state and shares none with other handles:
 the terms, window floors and value->index map, append-only and grown on
-read (``term``, ``window`` and ``top_index`` extend them); ``word_memo``,
-the words ``enumerate_legal`` has generated; and the legality automata,
-whose start states it makes on first use and whose other states the walks
-in ``automaton`` add as they read.  Nothing else attaches state to a handle.
+read (``term`` and ``top_index`` extend them); ``word_memo``, the words
+``enumerate_legal`` has generated; and the legality automata, whose start
+states it makes on first use and whose other states the walks in
+``automaton`` add as they read.  Nothing else attaches state to a handle.
 Reads fill the handle, so it is not thread-safe: use one handle per thread.
 ``tables(bound)`` returns the handle's own term list, window floors and
 value->index map for loops that would call ``term``/``top_index`` per step.
@@ -139,14 +139,6 @@ class SequenceHandle:
             raise ValueError("value must be >= 1")
         self.extend_until_exceeds(n_value)
         return bisect_right(self._floors, n_value)
-
-    def window(self, m: int) -> tuple[int, int]:
-        """(lo, hi): the values whose top index is m are exactly lo <= v < hi."""
-        if m < 1:
-            raise ValueError("window index must be >= 1")
-        if len(self._floors) <= m:  # len(floors) == len(terms) - order + 1
-            self._grow_to(m + self.spec.order)
-        return self._floors[m - 1], self._floors[m]
 
     def index_of_value(self, value: int) -> int | None:
         """Largest n with G_n == value, or None when value is not a term."""

@@ -162,8 +162,9 @@ def test_heads_sit_at_their_length_or_depth_below_it_on_the_grid():
 @given(st.integers(0, 5), st.integers(1, 5), st.data(), st.integers(1, 400))
 def test_sweep_matches_point_enumeration_off_the_grid(depth, span, data, bound):
     # deeper, longer and larger families than the grid: every bucket equals
-    # enumerate_legal's set with as many words, and the first non-unique value
-    # is the smallest one whose bucket holds two or more
+    # enumerate_legal's set with as many words, the first non-unique value
+    # is the smallest one whose bucket holds two or more, and the values-only
+    # sweep yields each window's values as the words sweep does
     ends = data.draw(st.lists(st.integers(1, 9), min_size=min(span, 2), max_size=min(span, 2)))
     inner = data.draw(st.lists(st.integers(0, 9), min_size=span - len(ends),
                                max_size=span - len(ends)))
@@ -180,6 +181,17 @@ def test_sweep_matches_point_enumeration_off_the_grid(depth, span, data, bound):
     shared = min((n for n, found in buckets.items() if len(found) >= 2), default=None)
     want = None if shared is None else (shared, len(buckets[shared]))
     assert first_nonunique(SequenceHandle.from_text(text), bound) == want, text
+    assert_sweep_modes_agree(text, bound)
+
+
+def assert_sweep_modes_agree(text, bound):
+    """Window by window, the values-only sweep behind first_nonunique yields
+    the multiset of values the words sweep lists, and builds no word."""
+    built = [sorted(values) for _, values in
+             enumerator._windows(SequenceHandle.from_text(text), bound)]
+    counted = [(words, sorted(values)) for words, values in
+               enumerator._windows(SequenceHandle.from_text(text), bound, build=False)]
+    assert counted == [([], values) for values in built], text
 
 
 def test_plrs_counts_are_all_one(handles):
@@ -332,8 +344,9 @@ def test_every_value_has_a_legal_decomposition_on_the_grid():
 
 def test_both_window_consumers_agree_on_the_grid():
     # decompositions_up_to lists every window's words and first_nonunique
-    # stops at the first window holding a value twice: the first hit is the
-    # smallest value whose bucket holds two or more decompositions
+    # stops at the first window holding a value twice, in the values-only
+    # sweep: the first hit is the smallest value whose bucket holds two or
+    # more decompositions, and both sweeps yield the same values per window
     texts = [t for t in expand_grid(range(0, 4), range(1, 5), 4)[0] if t != "1"]
     assert len(texts) == 1939
     for text in texts:
@@ -341,3 +354,4 @@ def test_both_window_consumers_agree_on_the_grid():
         shared = min((v for v, found in buckets.items() if len(found) >= 2), default=None)
         want = None if shared is None else (shared, len(buckets[shared]))
         assert first_nonunique(SequenceHandle.from_text(text), 300) == want, text
+        assert_sweep_modes_agree(text, 300)

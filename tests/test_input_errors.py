@@ -32,7 +32,8 @@ from zecklab.errors import NotApplicableError
     (lambda h: h.term(0), ValueError, "term index must be >= 1"),
     (lambda h: h.terms(-1), ValueError, "count must be >= 0"),
     (lambda h: h.extend_until_exceeds(-1), ValueError, "bound must be >= 0"),
-    (lambda h: h.window(0), ValueError, "window index must be >= 1"),
+    # the window floors' reader: tables(bound)[1]
+    (lambda h: h.tables(-1), ValueError, "bound must be >= 0"),
     (lambda h: case1_slack_closed_form(SequenceHandle.from_text("0,2,1,2")),
      NotApplicableError, "closed form only covers order = depth + 2"),
     # a range is named, not listed
@@ -40,7 +41,8 @@ from zecklab.errors import NotApplicableError
      "depths must be >= 0, got range(-1, 1000000)"),
 ], ids=["enumerate_legal", "naive_oracle", "first_nonunique", "bijection_count",
         "greedy_decompose", "from_dict-multiplicity", "from_dict-index", "canonicalize",
-        "term", "terms", "extend_until_exceeds", "window", "case1_slack_closed_form", "expand_grid"])
+        "term", "terms", "extend_until_exceeds", "tables", "case1_slack_closed_form",
+        "expand_grid"])
 def test_input_error(call, error, message, handles):
     with pytest.raises(error) as exc:
         call(handles("0,2,2"))

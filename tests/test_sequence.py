@@ -83,13 +83,12 @@ def test_top_index_is_the_last_term_not_above_the_value(text):
     # 0,1,1 starts 1,2,4,3 and 0,0,0,1,1 repeats 3 at indices 3 and 6;
     # ties must resolve to the later index
     h = SequenceHandle.from_text(text)
-    h.extend_until_exceeds(3000)
-    terms = h.terms(len(h))
+    terms, floors, _ = h.tables(3000)
     for v in range(1, 3001):
         top = max(t for t, g in enumerate(terms, 1) if g <= v)
         assert h.top_index(v) == top, (text, v)
-        lo, hi = h.window(top)
-        assert lo <= v < hi, (text, v)
+        # window m holds the values floors[m - 1] <= v < floors[m]
+        assert floors[top - 1] <= v < floors[top], (text, v)
 
 
 def test_top_index_rejects_zero(handles):
@@ -155,12 +154,12 @@ def test_batched_growth_matches_a_term_by_term_reference():
     grid = [t for t in expand_grid(range(0, 4), range(1, 5), 4)[0] if t != "1"]
     for text in grid:
         spec = parse_recurrence(text)
-        by_term, by_window, by_bound = (SequenceHandle(spec) for _ in range(3))
+        by_term, by_floors, by_bound = (SequenceHandle(spec) for _ in range(3))
         by_term.term(3)
         by_term.term(70)
-        by_window.window(45)
+        by_floors.tables(10**6)
         by_bound.extend_until_exceeds(10**30)
-        for h in (by_term, by_window, by_bound):
+        for h in (by_term, by_floors, by_bound):
             n = len(h)
             ref = reference_terms(spec, n)
             terms, floors, index_of_value = h.tables(0)
