@@ -13,11 +13,11 @@ They must agree wherever the oracle is allowed to run; tests enforce that.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .automaton import count_accepted
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
-from .legality import Decomposition, canonicalize, word_is_legal
+from .legality import Decomposition, _set_summands, canonicalize, word_is_legal
 from .recurrence import Kind
 from .sequence import SequenceHandle
 
@@ -162,7 +162,9 @@ def _windows(handle: SequenceHandle, bound: int, build: bool = True):
 
     Each word is built once, at its own length m, into window m's lists if
     its value lies there, the tails if a longer word (adding a head worth
-    >= hi) can hold it, and on deep families the filing of its value's window
+    >= hi) can hold it and some head reads length m (a length-m head reads
+    tails no longer than m - (lag or 1), so no length above top - (lag or 1)
+    keeps any), and on deep families the filing of its value's window
     j >= m + lag, lag = s + 1, where the zero block makes it legal again.
     No list holds a word twice, so none is hashed: a non-empty length-k head
     has its top entry at k (the bare summand, every depth-0 head) or at k - s,
@@ -181,6 +183,7 @@ def _windows(handle: SequenceHandle, bound: int, build: bool = True):
     top = handle.top_index(bound)
     floors = handle.tables(bound)[1]  # window m is floors[m - 1] <= v < floors[m]
     lag = None if handle.spec.kind is Kind.PLRR else handle.spec.depth + 1
+    read = top - (lag or 1)  # the longest tail a head of length <= top reads
     # tail_words[k], tail_values[k]: the length-k words a longer word can still hold
     tail_words, tail_values = [[()]], [[0]]
     above: dict[int, tuple[list, list]] = {}  # window j: (words, values) filed for it
@@ -188,7 +191,8 @@ def _windows(handle: SequenceHandle, bound: int, build: bool = True):
         lo, hi = floors[m - 1], floors[m]
         # the floors never decrease, so far <= v is m + lag <= top_index(v)
         far = floors[m + lag - 1] if lag and m + lag <= top else bound + 1
-        cut = bound - hi  # a longer word adds a head worth >= hi to this one
+        # a longer word adds a head worth >= hi to this one
+        cut = bound - hi if m <= read else -1
         twin = ((m + 1 - lag, 1),) if lag else ()  # () equals no non-empty head
         words, values = above.pop(m, None) or ([], [])
         tail_words.append(tails := [])
@@ -236,11 +240,16 @@ def decompositions_up_to(
     handle: SequenceHandle, bound: int, budget: int = DEFAULT_GRAMMAR_BUDGET
 ) -> dict[int, list[Decomposition]]:
     """All legal decompositions for every value 1..bound, from one sweep that lists each once."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     if bound > budget:
         raise BudgetExceededError(f"bound {bound} exceeds enumeration budget {budget}")
     buckets: dict[int, list[Decomposition]] = {}
     for words, values in _windows(handle, bound):
-        for val, decomp in zip(values, map(Decomposition, words)):
+        # each word becomes a Decomposition without a Python __init__ frame
+        decomps = list(map(object.__new__, repeat(Decomposition, len(words))))
+        any(map(_set_summands, decomps, words))  # each call returns None
+        for val, decomp in zip(values, decomps):
             if (found := buckets.get(val)) is None:
                 buckets[val] = [decomp]
             else:

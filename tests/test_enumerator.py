@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -192,6 +194,35 @@ def assert_sweep_modes_agree(text, bound):
     counted = [(words, sorted(values)) for words, values in
                enumerator._windows(SequenceHandle.from_text(text), bound, build=False)]
     assert counted == [([], values) for values in built], text
+
+
+@pytest.mark.parametrize("text", ["0,0,1,5", "3,2,4"])
+def test_sweep_members_are_decompositions(text):
+    # the sweep builds its members past Decomposition's __init__; each must
+    # keep the value semantics of one the public constructor builds
+    for found in decompositions_up_to(SequenceHandle.from_text(text), 500).values():
+        for d in found:
+            assert type(d) is Decomposition and not isinstance(d, tuple), (text, d)
+            made = Decomposition(d.summands)
+            assert d == made and hash(d) == hash(made), (text, d)
+            for assign in (lambda: setattr(d, "summands", ()), lambda: delattr(d, "summands")):
+                with pytest.raises(AttributeError):
+                    assign()
+            for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+                assert type(twin) is Decomposition and twin == d, (text, d)
+
+
+@pytest.mark.parametrize("text", ["0,0,0,1,1", "0,0,0,4,3"])
+def test_sweep_top_windows_keep_every_decomposition(text, handles):
+    # the sweep keeps no tails at the top lag = depth + 1 lengths, which no
+    # head reads: every value in those windows still has all its decompositions
+    bound = 2000
+    h = handles(text)
+    top, lag = h.top_index(bound), h.spec.depth + 1
+    buckets = decompositions_up_to(h, bound)
+    for n in range(h.tables(bound)[1][top - lag], bound + 1):
+        got, want = buckets.get(n, []), enumerate_legal(h, n)
+        assert len(got) == len(want) and set(got) == want, (text, n)
 
 
 def test_plrs_counts_are_all_one(handles):

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zecklab import (
     Decomposition,
@@ -177,6 +179,26 @@ def test_greedy_is_total_and_legal_on_the_whole_grid():
             indices = [j for j, _ in d.summands]
             assert indices == sorted(set(indices), reverse=True), (text, n, str(d))
             assert all(k >= 1 for _, k in d.summands), (text, n, str(d))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 8), st.integers(1, 6), st.data(),
+       st.lists(st.integers(1, 10**50), min_size=20, max_size=20))
+def test_greedy_is_total_and_legal_off_the_grid(depth, span, data, targets):
+    # the paper's existence theorem covers every family, not only the grid's:
+    # deeper and longer families with coefficients up to 1000, each judged on
+    # 1..200 and on random targets up to 10^50
+    ends = data.draw(st.lists(st.integers(1, 1000), min_size=min(span, 2), max_size=min(span, 2)))
+    inner = data.draw(st.lists(st.integers(0, 1000), min_size=span - len(ends),
+                               max_size=span - len(ends)))
+    coefficients = [0] * depth + ends[:1] + inner + ends[1:]
+    assume(math.gcd(*(i for i, c in enumerate(coefficients, 1) if c)) == 1)
+    assume(coefficients != [1])  # the constant family's terms never grow
+    text = ",".join(map(str, coefficients))
+    h = SequenceHandle.from_text(text)
+    for n in [*range(1, 201), *targets]:
+        d = greedy_decompose(h, n)
+        assert evaluate(d, h) == n and is_legal(d, h).legal, (text, n, str(d))
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from zecklab import (
     bijection_count,
     canonicalize,
     case1_slack_closed_form,
+    decompositions_up_to,
     enumerate_legal,
     expand_grid,
     first_nonunique,
@@ -22,6 +23,7 @@ from zecklab.errors import NotApplicableError
     (lambda h: enumerate_legal(h, -1), ValueError, "value must be >= 0"),
     (lambda h: naive_oracle(h, -1), ValueError, "value must be >= 0"),
     (lambda h: first_nonunique(h, 0), ValueError, "bound must be >= 1"),
+    (lambda h: decompositions_up_to(h, -1), ValueError, "bound must be >= 0"),
     (lambda h: bijection_count(SequenceHandle.from_text("1,1"), 0), ValueError,
      "alignment must be >= 1"),
     (lambda h: greedy_decompose(h, -1), ValueError, "target must be >= 0"),
@@ -39,10 +41,10 @@ from zecklab.errors import NotApplicableError
     # a range is named, not listed
     (lambda h: expand_grid(range(-1, 10**6), [1], 1), ValueError,
      "depths must be >= 0, got range(-1, 1000000)"),
-], ids=["enumerate_legal", "naive_oracle", "first_nonunique", "bijection_count",
-        "greedy_decompose", "from_dict-multiplicity", "from_dict-index", "canonicalize",
-        "term", "terms", "extend_until_exceeds", "tables", "case1_slack_closed_form",
-        "expand_grid"])
+], ids=["enumerate_legal", "naive_oracle", "first_nonunique", "decompositions_up_to",
+        "bijection_count", "greedy_decompose", "from_dict-multiplicity", "from_dict-index",
+        "canonicalize", "term", "terms", "extend_until_exceeds", "tables",
+        "case1_slack_closed_form", "expand_grid"])
 def test_input_error(call, error, message, handles):
     with pytest.raises(error) as exc:
         call(handles("0,2,2"))
