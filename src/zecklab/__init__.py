@@ -6,7 +6,6 @@ decompositions, and probe families for uniqueness failures.
 """
 
 from .recurrence import (
-    Kind,
     RecurrenceSpec,
     construction_applies,
     parse_recurrence,
@@ -52,7 +51,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Kind",
     "RecurrenceSpec",
     "construction_applies",
     "parse_recurrence",

@@ -10,7 +10,7 @@ Legal coefficient words form a regular language (Frougny 1992; Shallit
   open the next legal tail, as from START (accepting: the tail may be empty);
 * UNIT (deep families only): a bare summand 1 read, only zeros may follow;
 * MATCH_i, i = 1..L-1: the current suffix opened with c_1..c_i (accepting
-  when that is a short full prefix, i.e. for depth-0 families or i > depth).
+  when that is a short full prefix, i.e. i > depth).
 
 From START, GAP or MATCH_i the next digit d, at block position t = i + 1
 (i = 0 for START and GAP), may extend the match (d = c_t, t < L), close a
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .recurrence import Kind, RecurrenceSpec
+from .recurrence import RecurrenceSpec
 
 if TYPE_CHECKING:
     from .sequence import SequenceHandle
@@ -68,7 +68,7 @@ def _nfa_moves(spec: RecurrenceSpec, q: int, d: int) -> set[int]:
     if q == _UNIT:
         return {_UNIT} if d == 0 else set()
     c, L = spec.coefficients, spec.order
-    plrs = spec.kind is Kind.PLRR
+    plrs = spec.depth == 0
     out = {_GAP} if q == _GAP and d == 0 else set()
     i = q - _UNIT if q > _UNIT else 0
     t = i + 1
@@ -101,7 +101,10 @@ class SubsetState(dict):
 
     def __missing__(self, d: int) -> SubsetState | None:
         spec, backward, seen = self._automaton
-        if not 0 <= d <= spec.max_digit or d != int(d):
+        try:
+            if not 0 <= d <= spec.max_digit or d != int(d):
+                return None
+        except TypeError:  # a str, None or complex entry compares to no digit
             return None
         moves = [_nfa_moves(spec, q, d) for q in range(_UNIT + spec.order)]
         if backward:  # the NFA states whose move on d meets the subset
@@ -118,8 +121,8 @@ class SubsetState(dict):
 def compile_reverse_automaton(spec: RecurrenceSpec) -> tuple[SubsetState, SubsetState]:
     """(backward, forward): the start states, whose subsets hold the accepting
     NFA states and START.  Walks make every other state as they reach it."""
-    accepting = frozenset(q for q in range(_UNIT + spec.order) if q <= _UNIT
-                          or spec.kind is Kind.PLRR or q - _UNIT > spec.depth)
+    accepting = frozenset(q for q in range(_UNIT + spec.order)
+                          if q <= _UNIT or q - _UNIT > spec.depth)
     return (SubsetState(accepting, (spec, True, {})),
             SubsetState(frozenset({_START}), (spec, False, {})))
 

@@ -18,7 +18,6 @@ from itertools import accumulate, repeat
 from .automaton import count_accepted
 from .errors import BudgetExceededError, NotPLRSError, OracleBoundExceededError
 from .legality import Decomposition, _set_summands, canonicalize, word_is_legal
-from .recurrence import Kind
 from .sequence import SequenceHandle
 
 DEFAULT_GRAMMAR_BUDGET = 10**6
@@ -38,20 +37,19 @@ def _heads(handle: SequenceHandle, m: int, cap: int):
     """
     spec = handle.spec
     c, s, L = spec.coefficients, spec.depth, spec.order
-    plrs = spec.kind is Kind.PLRR
+    plrs = s == 0
     if not plrs and (g_m := handle.term(m)) <= cap:
         yield ((m, 1),), g_m, 0
-    if (plrs or s < m) and m < L:
+    if s < m < L:
         val = sum(c[i] * handle.term(m - i) for i in range(m))
         if val <= cap:
             yield tuple((m - i, c[i]) for i in range(m) if c[i]), val, 0
-    # positions before t_lo carry zero coefficients, so the matched prefix
-    # starts empty and worth nothing
-    t_lo = 1 if plrs else s + 1
+    # positions 1..s carry zero coefficients, so the matched prefix starts
+    # empty and worth nothing
     prefix: tuple[tuple[int, int], ...] = ()
     prefix_val = 0
-    for t in range(t_lo, min(L, m) + 1):
-        if t > t_lo and c[t - 2]:
+    for t in range(s + 1, min(L, m) + 1):
+        if t > s + 1 and c[t - 2]:
             prefix += ((m + 2 - t, c[t - 2]),)
             prefix_val += c[t - 2] * handle.term(m + 2 - t)
         if prefix_val > cap:
@@ -182,7 +180,7 @@ def _windows(handle: SequenceHandle, bound: int, build: bool = True):
         return
     top = handle.top_index(bound)
     floors = handle.tables(bound)[1]  # window m is floors[m - 1] <= v < floors[m]
-    lag = None if handle.spec.kind is Kind.PLRR else handle.spec.depth + 1
+    lag = handle.spec.depth + 1 if handle.spec.depth else None
     read = top - (lag or 1)  # the longest tail a head of length <= top reads
     # tail_words[k], tail_values[k]: the length-k words a longer word can still hold
     tail_words, tail_values = [[()]], [[0]]
@@ -284,7 +282,7 @@ def bijection_count(handle: SequenceHandle, n: int) -> tuple[int, int]:
     depth-0 word cannot open with a zero, so each of them has its top summand
     at index n.
     """
-    if handle.spec.kind is not Kind.PLRR:
+    if handle.spec.depth:
         raise NotPLRSError("alignment census requires a depth-0 recurrence")
     if n < 1:
         raise ValueError("alignment must be >= 1")

@@ -6,12 +6,10 @@ a_1..a_m, where a_i multiplies G_{m+1-i}.  A word is legal when it derives
 from the grammar:
 
 * bare summand (deep families only): a_1 = 1, everything else 0;
-* short full prefix: the word equals c_1..c_m with depth < m < order
-  (for depth-0 families: any m < order);
+* short full prefix: the word equals c_1..c_m with depth < m < order;
 * block: a_1..a_{t-1} = c_1..c_{t-1} for some t with a_t < c_t, then a gap
-  of l >= 0 zeros, then a legal tail.  For depth-0 families t may be 1 but
-  the leading coefficient must stay positive, and that positivity is also
-  required of every tail.
+  of l >= 0 zeros, then a legal tail.  In depth-0 families a_1 must be
+  positive, in every tail too.
 
 The empty decomposition is legal (it represents 0).  Every entry of a legal
 word lies in 0..max(c, 1); a negative entry is never legal.

@@ -1,16 +1,15 @@
-"""Parsing, validation and classification of recurrence coefficient vectors.
+"""Parsing and validation of recurrence coefficient vectors.
 
 A recurrence is given as the comma-separated list of its coefficients
-``c1,c2,...,cL`` (ASCII digits and commas; spaces tolerated).  Families whose
-leading coefficient is positive behave like classical positional systems;
-families with a block of leading zeros ("deep" families) are the interesting
-case for uniqueness questions.  ``RecurrenceSpec`` is a NamedTuple: it
-indexes, unpacks and equals a plain tuple of its fields.
+``c1,c2,...,cL`` (ASCII digits and commas; spaces tolerated).  Its depth, the
+number of leading zeros, is the one PLRR/ZLRR switch: families of depth 0
+behave like classical positional systems, and deep families (depth >= 1)
+are the interesting case for uniqueness questions.  ``RecurrenceSpec`` is a
+NamedTuple: it indexes, unpacks and equals a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -23,26 +22,16 @@ from .errors import (
 )
 
 
-class Kind(enum.Enum):
-    PLRR = "PLRR"  # depth 0: leading coefficient positive
-    ZLRR = "ZLRR"  # depth >= 1: one or more leading zeros
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class RecurrenceSpec(NamedTuple):
     """A validated coefficient vector with its derived structure.
 
-    ``depth`` counts the leading zeros, ``order`` is the total number of
-    coefficients, ``support`` holds the 1-based indices of the nonzero ones.
+    ``depth`` counts the leading zeros (0 for a PLRR, at least 1 for a
+    ZLRR), ``order`` is the total number of coefficients.
     """
 
     coefficients: tuple[int, ...]
     depth: int
     order: int
-    kind: Kind
-    support: frozenset[int]
 
     @property
     def text(self) -> str:
@@ -58,18 +47,11 @@ class RecurrenceSpec(NamedTuple):
         return self.coefficients == (0, 1, 1)
 
     @property
-    def max_coefficient(self) -> int:
-        return max(self.coefficients)
-
-    @property
     def max_digit(self) -> int:
         """max(c, 1), the largest entry of any legal word: matched prefixes
         use c_i, a block position stays below its cap, and a bare summand
         uses 1."""
-        return max(self.max_coefficient, 1)
-
-    def __str__(self) -> str:
-        return self.text
+        return max(*self.coefficients, 1)
 
 
 def parse_recurrence(text: str) -> RecurrenceSpec:
@@ -90,21 +72,13 @@ def parse_recurrence(text: str) -> RecurrenceSpec:
         raise AllZeroError("all coefficients are zero")
     if coeffs[-1] == 0:
         raise TrailingZeroError("last coefficient must be positive")
-    support = frozenset(i for i, c in enumerate(coeffs, 1) if c)
+    support = [i for i, c in enumerate(coeffs, 1) if c]
     if math.gcd(*support) > 1:
         raise DegenerateError(
-            f"indices of nonzero coefficients {sorted(support)} share a factor; "
+            f"indices of nonzero coefficients {support} share a factor; "
             "the sequence would split into independent subsequences"
         )
-    depth = next(i for i, c in enumerate(coeffs) if c)
-    kind = Kind.PLRR if depth == 0 else Kind.ZLRR
-    return RecurrenceSpec(
-        coefficients=tuple(coeffs),
-        depth=depth,
-        order=len(coeffs),
-        kind=kind,
-        support=support,
-    )
+    return RecurrenceSpec(tuple(coeffs), support[0] - 1, len(coeffs))
 
 
 def construction_applies(spec: RecurrenceSpec) -> bool:

@@ -24,19 +24,15 @@ from functools import cached_property
 
 from .automaton import compile_reverse_automaton
 from .errors import NonProgressError
-from .recurrence import Kind, RecurrenceSpec, parse_recurrence
+from .recurrence import RecurrenceSpec, parse_recurrence
 
 
 def _prescribed_terms(spec: RecurrenceSpec) -> list[int]:
     c, s, L = spec.coefficients, spec.depth, spec.order
     if spec.is_lagonacci:
         return [1, 2, 4, 3]
-    if spec.kind is Kind.PLRR:
-        # H_1 = 1, then each next term is the full lower combination plus one.
-        terms = [1]
-        for n in range(1, L):
-            terms.append(sum(c[i] * terms[n - 1 - i] for i in range(n)) + 1)
-        return terms
+    # H_n = n for n <= s + 1, and for every n <= L when c_{s+1} <= s; otherwise
+    # H_n = sum(c_i H_{n-i}, s < i < n) + 1, which at depth 0 is KKMW's rule
     terms = list(range(1, s + 2))
     for n in range(s + 2, L + 1):
         if c[s] <= s:

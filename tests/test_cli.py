@@ -51,6 +51,7 @@ GOLDEN = [
      '{"recurrence": "0,0,1,1", "terms": ["1", "2", "3", "4", "3", "5", "7", "7"], '
      '"duplicate_values": true}\n', ""),
     ("seq --rec 0,1,1 --count 9", 0, "1 2 4 3 6 7 9 13 16\n", ""),
+    ("seq --rec 2,0,3 --count 8", 0, "1 3 7 17 43 107 265 659\n", ""),
     ("decompose --rec 0,2,2 --n 164", 0,
      "164 = 2*G_8(56) + 1*G_7(32) + 2*G_5(10)  [legal]\n", ""),
     ("decompose --rec 0,2,2 --n 164 --json", 0,

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from zecklab import (
     Decomposition,
     DerivationBlock,
-    Kind,
     LegalityVerdict,
     RecurrenceSpec,
     SequenceHandle,
@@ -40,7 +39,7 @@ def naive_word_legal(word, spec):
     Independent of the production recognizer on purpose; the two must agree.
     """
     c, s, L = spec.coefficients, spec.depth, spec.order
-    plrs = spec.kind is Kind.PLRR
+    plrs = spec.depth == 0
     word = tuple(word)
     m = len(word)
     if m == 0:
@@ -73,7 +72,7 @@ def _suffix_witnesses(word, spec: RecurrenceSpec):
     Computed bottom-up so the block search can reuse tail verdicts.
     """
     c, s, L = spec.coefficients, spec.depth, spec.order
-    plrs = spec.kind is Kind.PLRR
+    plrs = spec.depth == 0
     m = len(word)
     wit: list[tuple | None] = [None] * (m + 1)
     wit[m] = ("end",)
@@ -170,14 +169,14 @@ def reference_reject_at(word, spec: RecurrenceSpec) -> int:
     no memo: the 1-based position of the digit that leaves no state alive or
     lies outside 0..max(c, 1), len(word) + 1 if the word ends in no accepting
     state, or 0 if it accepts."""
-    cap = max(spec.max_coefficient, 1)
+    cap = spec.max_digit
     subset = {_START}
     for n, d in enumerate(word, 1):
         subset = {r for q in subset for r in _nfa_moves(spec, q, d)} if 0 <= d <= cap else set()
         if not subset:
             return n
     # START, GAP and UNIT accept, and MATCH_i when c_1..c_i is a short full prefix
-    if any(q <= _UNIT or spec.kind is Kind.PLRR or q - _UNIT > spec.depth for q in subset):
+    if any(q <= _UNIT or spec.depth == 0 or q - _UNIT > spec.depth for q in subset):
         return 0
     return len(word) + 1
 
@@ -293,6 +292,9 @@ def test_words_with_oversized_entries_are_illegal(handles):
     ((-5,), "3,2,4"),
     ((0, 1.5), "0,2,2"),
     ((1.5,), "1,1"),
+    (("1",), "1,1"),
+    ((None,), "3,2,4"),
+    ((0, 1j), "0,2,2"),
 ])
 def test_words_with_negative_entries_are_illegal(word, text, handles):
     # so are words with an entry that is no integer: the first entry outside
@@ -314,7 +316,7 @@ def test_automaton_matches_recognizer_on_the_grid_exhaustively():
     for text in GRID:
         h = SequenceHandle.from_text(text)
         spec = h.spec
-        digits = range(max(spec.max_coefficient, 1) + 2)
+        digits = range(spec.max_digit + 2)
         for m in range(5):
             for word in itertools.product(digits, repeat=m):
                 expected = reference_derivation(word, spec)
@@ -326,7 +328,7 @@ def test_automaton_matches_recognizer_on_the_grid_exhaustively():
 @given(st.sampled_from(GRID), st.data())
 def test_automaton_matches_recognizer_on_long_random_words(handles, text, data):
     h = handles(text)
-    cap = max(h.spec.max_coefficient, 1)
+    cap = h.spec.max_digit
     word = data.draw(st.lists(st.integers(-1, cap + 1), max_size=40))
     expected = reference_derivation(word, h.spec)
     assert word_derivation(word, h) == expected
@@ -500,7 +502,7 @@ def test_count_accepted_matches_the_recognizer(handles):
     # every length-n word over 0..max(c, 1), deep families included
     for text in POOL:
         h = handles(text)
-        digits = range(max(h.spec.max_coefficient, 1) + 1)
+        digits = range(h.spec.max_digit + 1)
         for n in range(5):
             legal = sum(reference_derivation(word, h.spec) is not None
                         for word in itertools.product(digits, repeat=n))

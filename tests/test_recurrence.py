@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from zecklab import Kind, construction_applies, parse_recurrence
+from zecklab import construction_applies, parse_recurrence
 from zecklab.errors import (
     AllZeroError,
     DegenerateError,
@@ -22,16 +22,15 @@ def test_parse_deep_family():
     spec = parse_recurrence("0,2,2")
     assert spec.depth == 1
     assert spec.order == 3
-    assert spec.kind is Kind.ZLRR
-    assert spec.support == {2, 3}
     assert spec.lead == 2
+    assert spec.max_digit == 2
 
 
 def test_parse_positive_family():
     spec = parse_recurrence("1,1")
     assert spec.depth == 0
     assert spec.order == 2
-    assert spec.kind is Kind.PLRR
+    assert spec.lead == 1
 
 
 def test_parse_tolerates_spaces():
@@ -40,7 +39,7 @@ def test_parse_tolerates_spaces():
 
 def test_parse_single_coefficient():
     spec = parse_recurrence("2")
-    assert spec.kind is Kind.PLRR
+    assert spec.depth == 0
     assert spec.order == 1
 
 
@@ -157,11 +156,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == "[]"
 
 
+def test_public_namespace_is_exactly_all():
+    # every exported name resolves, and a star import binds exactly them
+    import zecklab
+    assert all(hasattr(zecklab, name) for name in zecklab.__all__)
+    assert len(set(zecklab.__all__)) == len(zecklab.__all__)
+    namespace: dict = {}
+    exec("from zecklab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(zecklab.__all__)
+
+
 def test_spec_is_a_named_tuple():
     spec = parse_recurrence("0,2,2")
-    coefficients, depth, order, kind, support = spec
-    assert (coefficients, depth, order, kind) == ((0, 2, 2), 1, 3, Kind.ZLRR)
-    assert spec[4] == support == frozenset({2, 3})
+    coefficients, depth, order = spec
+    assert (coefficients, depth, order) == ((0, 2, 2), 1, 3)
+    assert spec[2] == order == 3
     assert spec == tuple(spec) and hash(spec) == hash(tuple(spec))
-    assert repr(spec) == ("RecurrenceSpec(coefficients=(0, 2, 2), depth=1, order=3, "
-                          "kind=<Kind.ZLRR: 'ZLRR'>, support=frozenset({2, 3}))")
+    assert repr(spec) == "RecurrenceSpec(coefficients=(0, 2, 2), depth=1, order=3)"

@@ -1,3 +1,4 @@
+import random
 from itertools import accumulate
 
 import pytest
@@ -27,6 +28,33 @@ def test_term_prefixes(text, prefix, handles):
 def test_initial_rule_with_large_lead(handles):
     # third term is lead * G_1 + 1 when the lead exceeds the depth
     assert handles("0,3,1").term(3) == 4
+
+
+def kkmw_initial_terms(c):
+    """KKMW's initial terms of a depth-0 family: H_1 = 1 and
+    H_{n+1} = c_1 H_n + ... + c_n H_1 + 1 for n < L."""
+    h = [1]
+    for n in range(1, len(c)):
+        h.append(sum(c[i] * h[n - 1 - i] for i in range(n)) + 1)
+    return h
+
+
+def test_depth_zero_initial_terms_follow_kkmw():
+    # the general initial-condition rule at depth 0, on every depth-0 grid
+    # family and on random ones with large coefficients
+    texts = expand_grid([0], range(1, 5), 4)[0]
+    assert len(texts) == 500
+    rng = random.Random(3303)
+    for _ in range(300):
+        span = rng.randint(1, 6)
+        middle = [rng.randint(0, 1000) for _ in range(span - 2)]
+        ends = [rng.randint(1, 1000) for _ in range(min(span, 2))]
+        texts.append(",".join(map(str, ends[:1] + middle + ends[1:])))
+    for text in texts:
+        spec = parse_recurrence(text)
+        assert spec.depth == 0
+        h = SequenceHandle(spec)
+        assert h.terms(spec.order) == kkmw_initial_terms(spec.coefficients), text
 
 
 def test_lagonacci_recurrence_resumes_after_override(handles):
